@@ -25,7 +25,7 @@ print("== one solve, the whole trajectory ==")
 grid = Grid(10.0, 256)
 qf = assemble(ActionKind.MCA_SDOF, model, grid, u0=1.0, v0=0.0)
 print(f"free unknowns: {qf.n_free} (u and J at nodes 1..n; node 0 pinned to "
-      f"u0 = {qf.fixed[('u', 0, 0)]}, J0 = {qf.fixed[('J', 0, 0)]:+.2f})")
+      f"u0 = {qf.node0[0]}, J0 = {qf.node0[1]:+.2f})")
 report = solve_stationary(qf)
 print(f"post-solve gradient norm: {report.gradient_norm:.2e}")
 print(f"condition estimate:       {report.condition_estimate:.2e}")

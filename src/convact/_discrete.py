@@ -31,27 +31,21 @@ import numpy as np
 from ._stencils import deriv1_matrix
 from .fracops import gl_derivative_matrix
 from .grid import Grid
-from .models import MdofModel, SdofModel, Trajectory, sdof_as_mdof
+from .models import MdofModel, SdofModel
 
 SCHEMES = ("reduced", "direct")
 
 
 def trapezoid_matrix(grid: Grid) -> np.ndarray:
     """Diagonal trapezoid quadrature: x^T T y = int x y dtau."""
-    w = np.full(grid.n_nodes, grid.h)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return np.diag(w)
+    return np.diag(grid.trapezoid_weights())
 
 
 def conv_end_matrix(grid: Grid) -> np.ndarray:
     """Anti-diagonal pairing: x^T W y = [x * y](t_final) by trapezoid."""
     n = grid.n_steps
-    w = np.full(n + 1, grid.h)
-    w[0] *= 0.5
-    w[-1] *= 0.5
     mat = np.zeros((n + 1, n + 1))
-    mat[np.arange(n + 1), n - np.arange(n + 1)] = w
+    mat[np.arange(n + 1), n - np.arange(n + 1)] = grid.trapezoid_weights()
     return mat
 
 
@@ -62,9 +56,7 @@ def prefix_conv_matrices(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     n = grid.n_steps
     h = grid.h
     t = grid.t_final
-    outer = np.full(n + 1, h)
-    outer[0] *= 0.5
-    outer[-1] *= 0.5
+    outer = grid.trapezoid_weights()
     w_const = np.zeros((n + 1, n + 1))
     w_ramp = np.zeros((n + 1, n + 1))
     taus = grid.nodes()
@@ -126,6 +118,10 @@ class DofLayout:
         first += [self.J_slice(e).start for e in range(self.n_el)]
         return np.asarray(first, dtype=int)
 
+    def free_indices(self) -> np.ndarray:
+        """Indices of every dof at nodes 1..n, in packing order."""
+        return np.setdiff1d(np.arange(self.size), self.node0_indices())
+
 
 def _symmetrize(q: np.ndarray) -> np.ndarray:
     return q + q.T
@@ -163,10 +159,10 @@ def rate_value_pair_matrix(grid: Grid) -> np.ndarray:
 
 def reflected_load_weights(f_vals: np.ndarray, h: float) -> np.ndarray:
     """Gradient of the exact piecewise-linear [u * f](t) with respect to the
-    nodal values of u."""
-    n = f_vals.size - 1
+    nodal values of u; a history (n_nodes, n_dof) gives one column per dof."""
+    n = f_vals.shape[0] - 1
     rf = f_vals[::-1]
-    w = np.zeros(n + 1)
+    w = np.zeros(f_vals.shape)
     w[0] = h / 6.0 * (2.0 * rf[0] + rf[1])
     w[n] = h / 6.0 * (rf[n - 1] + 2.0 * rf[n])
     if n >= 2:
@@ -208,63 +204,48 @@ def build_mca_system(
     x' * y + x(0) y(t) and evaluates every convolution exactly on the
     piecewise-linear interpolants; the direct scheme keeps the rewrite off and
     pairs GL half-derivative histories by trapezoid quadrature.
+
+    Every term is a model matrix times a time operator, so K is a sum of
+    Kronecker products, symmetrized:
+        K = sym(P_R (x) R + P_S (x) S + P_S (x) E),
+        P_R = [[M/2, 0], [0, -A/2]],   P_S = [[C/2, 0], [B^T, 0]],
+    over the (u, J) variable blocks, with R the rate pairing, S the scheme's
+    semi-derivative pairing and E = e_0 e_n^T the reduced scheme's corner
+    x(0) y(t) (absent in the direct scheme). Only the blocks whose model
+    coefficient is nonzero are formed, and E adds P_S at the (node 0, node n)
+    entry of each block.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     n1 = grid.n_nodes
     d, e = model.n_dof, model.n_el
     layout = DofLayout(n1, d, e)
-    rate_rate = rate_pair_matrix(grid)
-    rate_value = rate_value_pair_matrix(grid)
-    if scheme == "direct":
-        wmat = conv_end_matrix(grid)
+    u, j = slice(0, d), slice(d, d + e)
+    p_rate = np.zeros((d + e, d + e))
+    p_rate[u, u], p_rate[j, j] = 0.5 * model.M, -0.5 * model.A
+    p_semi = np.zeros((d + e, d + e))
+    p_semi[u, u], p_semi[j, u] = 0.5 * model.C, model.B.T
+    if scheme == "reduced":
+        semi = rate_value_pair_matrix(grid)
+    else:
         gmat = gl_derivative_matrix(grid.n_steps, grid.h, 0.5)
-        gtwg = gmat.T @ wmat @ gmat
+        semi = gmat.T @ conv_end_matrix(grid) @ gmat
 
     q = np.zeros((layout.size, layout.size))
+    blocks = q.reshape(d + e, n1, d + e, n1)  # blocks[a, :, b, :] is block (a, b)
+    for coef, op in ((p_rate, rate_pair_matrix(grid)), (p_semi, semi)):
+        # term by term into +0.0: each entry sums its products in term order
+        # and entries that only ever receive zeros stay +0.0
+        a, b = np.nonzero(coef)
+        blocks[a, :, b, :] += coef[a, b, None, None] * op
+    if scheme == "reduced":
+        blocks[:, 0, :, -1] += p_semi  # P_S (x) E with E = e_0 e_n^T
+
     r = np.zeros(layout.size)
-
-    amat = model.A
-    last = n1 - 1
-    for a in range(d):
-        sa = layout.u_slice(a)
-        for b in range(d):
-            sb = layout.u_slice(b)
-            if model.M[a, b] != 0.0:
-                q[sa, sb] += 0.5 * model.M[a, b] * rate_rate
-            if model.C[a, b] != 0.0:
-                if scheme == "reduced":
-                    q[sa, sb] += 0.5 * model.C[a, b] * rate_value
-                    q[sa.start, sb.start + last] += 0.5 * model.C[a, b]
-                else:
-                    q[sa, sb] += 0.5 * model.C[a, b] * gtwg
-    for i in range(e):
-        si = layout.J_slice(i)
-        for j in range(e):
-            if amat[i, j] != 0.0:
-                q[si, layout.J_slice(j)] += -0.5 * amat[i, j] * rate_rate
-        for a in range(d):
-            if model.B[a, i] != 0.0:
-                sa = layout.u_slice(a)
-                if scheme == "reduced":
-                    q[si, sa] += model.B[a, i] * rate_value
-                    q[si.start, sa.start + last] += model.B[a, i]
-                else:
-                    q[si, sa] += model.B[a, i] * gtwg
-
     f_hist = model.forcing_history(grid.nodes())
-    for a in range(d):
-        sa = layout.u_slice(a)
-        r[sa] += -reflected_load_weights(f_hist[:, a], grid.h)
-        r[sa.start + last] += -model.j_hat_0[a]
-
+    r[: d * n1] -= reflected_load_weights(f_hist, grid.h).T.ravel()
+    r[n1 - 1 : d * n1 : n1] -= model.j_hat_0  # end node of each u component
     return _symmetrize(q), r, layout
-
-
-def build_sdof_mca_system(
-    model: SdofModel, grid: Grid, scheme: str = "reduced"
-) -> tuple[np.ndarray, np.ndarray, DofLayout]:
-    return build_mca_system(sdof_as_mdof(model), grid, scheme)
 
 
 def build_hamilton_system(
@@ -308,9 +289,3 @@ def build_gurtin_system(
     f = gurtin_forcing(model, u0, v0, grid)
     r = -(wmat @ f.values)
     return _symmetrize(q), r, DofLayout(grid.n_nodes, 1, 0)
-
-
-def pack_trajectory(layout: DofLayout, traj: Trajectory) -> np.ndarray:
-    if layout.n_el:
-        return layout.pack(traj.u, traj.J)
-    return layout.pack(traj.u)

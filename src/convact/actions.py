@@ -25,7 +25,7 @@ from scipy.interpolate import CubicSpline
 from ._stencils import deriv1, deriv2
 from .fracops import Side, frac_deriv
 from .grid import Grid, Signal, convolve, convolve_at_end, sample
-from .models import MdofModel, SdofModel
+from .models import MdofModel, SdofModel, Trajectory, sdof_as_mdof
 
 __all__ = [
     "ActionKind",
@@ -52,6 +52,7 @@ class ActionKind(enum.Enum):
 DISPLACEMENT_KINDS = frozenset(
     {ActionKind.HAMILTON, ActionKind.GURTIN, ActionKind.TONTI}
 )
+MIXED_KINDS = frozenset({ActionKind.MCA_SDOF, ActionKind.MCA_MDOF})
 
 # named residual vocabulary per kind
 FIELD_NAMES = {
@@ -117,18 +118,36 @@ def _d1_signal(sig: Signal) -> Signal:
     return Signal(sig.grid, deriv1(sig.values, sig.grid.h))
 
 
-def _check_kind_inputs(kind: ActionKind, model, traj):
+def _check_kind_inputs(kind: ActionKind, model, traj, what: str = "trajectory"):
     if kind is ActionKind.MCA_MDOF:
         if not isinstance(model, MdofModel):
             raise ValueError("MCA_MDOF needs an MdofModel")
         if isinstance(traj, Signal) or traj.is_scalar:
-            raise ValueError("MCA_MDOF needs a vector-valued trajectory")
+            raise ValueError(f"MCA_MDOF needs a vector-valued {what}")
+        widths = (traj.u.shape[1:], traj.J.shape[1:])
+        if widths != ((model.n_dof,), (model.n_el,)):
+            raise ValueError(
+                f"MCA_MDOF {what} has u/J widths {widths[0]}/{widths[1]}, "
+                f"the model needs ({model.n_dof},)/({model.n_el},)"
+            )
     else:
         if not isinstance(model, SdofModel):
             raise ValueError(f"{kind.value} needs an SdofModel")
         if kind is ActionKind.MCA_SDOF:
             if isinstance(traj, Signal) or not traj.is_scalar:
-                raise ValueError("MCA_SDOF needs a scalar mixed trajectory")
+                raise ValueError(f"MCA_SDOF needs a scalar mixed {what}")
+
+
+def _one_dof_view(kind: ActionKind, model, ics, *trajs):
+    """MCA_SDOF inputs as the one-dof case of MCA_MDOF: the model through
+    `sdof_as_mdof`, scalar histories as single columns and scalar initial
+    data as 1-vectors. Inputs of other kinds pass through unchanged."""
+    if kind is not ActionKind.MCA_SDOF:
+        return (model, ics, *trajs)
+    if ics is not None:
+        ics = tuple(np.array([float(x)]) for x in ics)
+    columns = (Trajectory(t.grid, t.u.reshape(-1, 1), t.J.reshape(-1, 1)) for t in trajs)
+    return (sdof_as_mdof(model), ics, *columns)
 
 
 def gurtin_forcing(model: SdofModel, u0: float, v0: float, grid: Grid) -> Signal:
@@ -192,15 +211,13 @@ def action_value(kind: ActionKind, model, traj, *, ics=None, scheme: str = "redu
     from sampled signals (quadrature route, independent of the assembled
     matrices). GURTIN requires ics = (u0, v0)."""
     _check_kind_inputs(kind, model, traj)
+    model, ics, traj = _one_dof_view(kind, model, ics, traj)
     if kind is ActionKind.HAMILTON:
         u = _signal_of(traj)
         du = deriv1(u.values, u.grid.h)
         f = model.forcing_signal(u.grid).values
         integrand = 0.5 * model.m * du * du - 0.5 * model.k * u.values**2 + f * u.values
-        w = np.full(u.grid.n_nodes, u.grid.h)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return float(w @ integrand)
+        return float(u.grid.trapezoid_weights() @ integrand)
     if kind is ActionKind.TONTI:
         u = _signal_of(traj)
         du = _d1_signal(u)
@@ -229,14 +246,7 @@ def action_value(kind: ActionKind, model, traj, *, ics=None, scheme: str = "redu
     # mixed convolved kinds
     if scheme not in ("reduced", "direct"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    if kind is ActionKind.MCA_SDOF:
-        from .models import sdof_as_mdof
-
-        mdof = sdof_as_mdof(model)
-        u = traj.u.reshape(-1, 1)
-        J = traj.J.reshape(-1, 1)
-        return _mca_value_terms(mdof, u, J, traj.grid, scheme)
-    if kind is ActionKind.MCA_MDOF:
+    if kind in MIXED_KINDS:
         return _mca_value_terms(model, traj.u, traj.J, traj.grid, scheme)
     raise ValueError(f"unknown action kind {kind!r}")
 
@@ -246,7 +256,6 @@ def _build_system(kind: ActionKind, model, grid: Grid, ics, scheme: str):
         build_gurtin_system,
         build_hamilton_system,
         build_mca_system,
-        build_sdof_mca_system,
         build_tonti_system,
     )
 
@@ -258,21 +267,15 @@ def _build_system(kind: ActionKind, model, grid: Grid, ics, scheme: str):
         if ics is None:
             raise ValueError("GURTIN needs ics=(u0, v0)")
         return build_gurtin_system(model, grid, ics[0], ics[1])
-    if kind is ActionKind.MCA_SDOF:
-        return build_sdof_mca_system(model, grid, scheme)
-    if kind is ActionKind.MCA_MDOF:
+    if kind in MIXED_KINDS:
         return build_mca_system(model, grid, scheme)
     raise ValueError(f"unknown action kind {kind!r}")
 
 
-def _direction_vector(kind: ActionKind, direction, layout) -> np.ndarray:
+def _node_vector(kind: ActionKind, traj, layout) -> np.ndarray:
     if kind in DISPLACEMENT_KINDS:
-        return layout.pack(_signal_of(direction).values.reshape(-1, 1))
-    if isinstance(direction, Signal):
-        raise ValueError("mixed kinds need a Trajectory direction")
-    u = direction.u.reshape(layout.n_nodes, layout.n_dof)
-    J = direction.J.reshape(layout.n_nodes, layout.n_el)
-    return layout.pack(u, J)
+        return layout.pack(_signal_of(traj).values)
+    return layout.pack(traj.u, traj.J)
 
 
 def _check_direction_constraints(kind: ActionKind, direction):
@@ -300,15 +303,12 @@ def action_variation(
     """First (Gateaux) variation of the functional at `traj` in `direction`,
     evaluated in closed form from the assembled bilinear structure."""
     _check_kind_inputs(kind, model, traj)
+    _check_kind_inputs(kind, model, direction, "direction")
     _check_direction_constraints(kind, direction)
+    model, ics, traj, direction = _one_dof_view(kind, model, ics, traj, direction)
     kmat, r, layout = _build_system(kind, model, traj.grid, ics, scheme)
-    if kind in DISPLACEMENT_KINDS:
-        x = layout.pack(_signal_of(traj).values.reshape(-1, 1))
-    else:
-        from ._discrete import pack_trajectory
-
-        x = pack_trajectory(layout, traj)
-    g = _direction_vector(kind, direction, layout)
+    x = _node_vector(kind, traj, layout)
+    g = _node_vector(kind, direction, layout)
     return float(g @ (kmat @ x + r))
 
 
@@ -321,6 +321,7 @@ def el_residuals(kind: ActionKind, model, traj, *, ics=None) -> ResidualReport:
     datum enters the initial-condition residuals exactly, not by differencing.
     """
     _check_kind_inputs(kind, model, traj)
+    model, ics, traj = _one_dof_view(kind, model, ics, traj)
     grid = traj.grid
     h = grid.h
     fields: dict = {}
@@ -350,23 +351,9 @@ def el_residuals(kind: ActionKind, model, traj, *, ics=None) -> ResidualReport:
             + model.k * convolve(ramp, u).values
             - f.values
         )
-    elif kind is ActionKind.MCA_SDOF:
+    elif kind in MIXED_KINDS:
         if ics is None:
-            raise ValueError("MCA_SDOF residuals need ics=(u0, v0)")
-        u, J = traj.u, traj.J
-        f = model.forcing_signal(grid).values
-        fields["motion"] = (
-            model.m * deriv2(u, h) + model.c * deriv1(u, h) + deriv1(J, h) - f
-        )
-        fields["compatibility"] = model.a * deriv2(J, h) - deriv1(u, h)
-        ics_out["motion_ic"] = (
-            model.m * ics[1] + model.c * u[0] + J[0] - model.j_hat_0
-        )
-        # rate form: J'(0) is the spring force k u(0)
-        ics_out["compatibility_ic"] = model.a * (model.k * u[0]) - u[0]
-    elif kind is ActionKind.MCA_MDOF:
-        if ics is None:
-            raise ValueError("MCA_MDOF residuals need ics=(u0, v0)")
+            raise ValueError(f"{kind.value} residuals need ics=(u0, v0)")
         u, J = traj.u, traj.J
         f = model.forcing_history(grid.nodes())
         ddu = np.column_stack([deriv2(u[:, a], h) for a in range(u.shape[1])])
@@ -399,13 +386,9 @@ def hamilton_second_variation(m: float, k: float, direction: Signal) -> float:
     d = direction.values
     if abs(d[0]) > 1e-12 or abs(d[-1]) > 1e-12:
         raise ValueError("second-variation direction must vanish at both ends")
-    h = direction.grid.h
-    dd = deriv1(d, h)
+    dd = deriv1(d, direction.grid.h)
     integrand = m * dd * dd - k * d * d
-    w = np.full(direction.grid.n_nodes, h)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return float(w @ integrand)
+    return float(direction.grid.trapezoid_weights() @ integrand)
 
 
 def rayleigh_variation(model: SdofModel, u: Signal, direction: Signal) -> float:
@@ -421,10 +404,7 @@ def rayleigh_variation(model: SdofModel, u: Signal, direction: Signal) -> float:
     dd = deriv1(d, h)
     f = model.forcing_signal(u.grid).values
     integrand = model.m * du * dd - model.k * u.values * d + f * d - model.c * du * d
-    w = np.full(u.grid.n_nodes, h)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return float(w @ integrand)
+    return float(u.grid.trapezoid_weights() @ integrand)
 
 
 def bateman_residuals(model: SdofModel, u: Signal, v: Signal) -> ResidualReport:

@@ -53,6 +53,13 @@ class Grid:
         """Node times tau_k = k*h as a fresh array."""
         return np.arange(self.n_steps + 1) * self.h
 
+    def trapezoid_weights(self) -> np.ndarray:
+        """Trapezoid-rule node weights: h inside, h/2 at both ends."""
+        w = np.full(self.n_nodes, self.h)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return w
+
     def refine(self, factor: int = 2) -> "Grid":
         """Same interval with n_steps multiplied by `factor`."""
         return Grid(self.t_final, self.n_steps * factor)

@@ -404,7 +404,9 @@ def build_bar_1d(
 
 
 def sdof_as_mdof(model: SdofModel) -> MdofModel:
-    """One-dof embedding of an SdofModel (for cross-checks)."""
+    """One-dof embedding of an SdofModel; the mixed single-dof action is
+    assembled, evaluated and solved through it as the 1-dof case of the
+    multi-dof code."""
     amp = None
     if model.forcing is not None:
         amp = HarmonicForcing(

@@ -3,9 +3,15 @@
 The discrete unknowns are the nodal values of u and J at nodes 1..n; node 0
 is fixed from the mixed-variable initial conditions, which realizes the
 constrained-variation structure of the principle (initial values pinned, end
-values free). The assembled quadratic form is symmetric but indefinite —
-the action is stationary, not minimal — so the solve uses a symmetric
-indefinite (Bunch-Kaufman) factorization.
+values free). Node 0 is eliminated by index arrays: `DofLayout.free_indices`
+selects the rows and columns of the free system, `node0_indices` the columns
+folded into its linear term. The assembled quadratic form is symmetric but
+indefinite — the action is stationary, not minimal — so the solve uses a
+symmetric indefinite (Bunch-Kaufman) factorization.
+
+The damped oscillator (MCA_SDOF) is solved as the one-dof case of the
+multi-dof system: `assemble` lifts the model through `sdof_as_mdof`, and the
+solved trajectory is reshaped to scalar histories only on the way out.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
-from ._discrete import DofLayout, build_mca_system, build_sdof_mca_system
+from ._discrete import DofLayout, build_mca_system
 from .actions import ActionKind
 from .grid import Grid
 from .models import (
@@ -27,7 +33,6 @@ from .models import (
     analytic_sdof,
     mdof_mixed_initials,
     mdof_oracle,
-    mixed_initials,
     sdof_as_mdof,
 )
 
@@ -54,15 +59,14 @@ class SingularSystemError(RuntimeError):
 class QuadraticForm:
     """Reduced quadratic form over the free nodal values.
 
-    I(d) = 1/2 d^T K d + r^T d + const, with the node-0 values eliminated and
-    recorded in `fixed`. `dof_map` sends (variable, node, component) to the
-    row index of the free system.
+    I(d) = 1/2 d^T K d + r^T d + const, with d the values at
+    `layout.free_indices()` and the node-0 values eliminated and recorded in
+    `node0`, ordered as `layout.node0_indices()`.
     """
 
     K: np.ndarray = field(repr=False)
     r: np.ndarray = field(repr=False)
-    dof_map: dict
-    fixed: dict
+    node0: np.ndarray
     layout: DofLayout
     grid: Grid
     kind: ActionKind
@@ -72,27 +76,23 @@ class QuadraticForm:
         scale = max(float(np.max(np.abs(self.K))), 1.0)
         if np.max(np.abs(self.K - self.K.T)) > 1e-12 * scale:
             raise ValueError("K must be symmetric to roundoff")
-        rows = sorted(self.dof_map.values())
-        if rows != list(range(len(self.dof_map))) or len(self.dof_map) != self.K.shape[0]:
-            raise ValueError("dof_map must be a bijection onto 0..n_free-1")
-        for (var, node, comp) in self.fixed:
-            if node != 0:
-                raise ValueError("only node-0 values may be fixed")
+        n_free, n_fixed = self.layout.free_indices().size, self.layout.node0_indices().size
+        shapes = (self.K.shape, self.r.shape, np.shape(self.node0))
+        if shapes != ((n_free, n_free), (n_free,), (n_fixed,)):
+            raise ValueError(
+                f"K, r, node0 shapes {shapes} do not match the layout's "
+                f"{n_free} free values and {n_fixed} node-0 values"
+            )
 
     @property
     def n_free(self) -> int:
         return self.K.shape[0]
 
     def full_vector(self, d_free: np.ndarray) -> np.ndarray:
-        """Reassemble the all-nodes vector from free values plus fixed data."""
+        """Reassemble the all-nodes vector from free values plus node-0 data."""
         x = np.empty(self.layout.size)
-        for key, row in self.dof_map.items():
-            var, node, comp = key
-            sl = self.layout.u_slice(comp) if var == "u" else self.layout.J_slice(comp)
-            x[sl.start + node] = d_free[row]
-        for (var, node, comp), value in self.fixed.items():
-            sl = self.layout.u_slice(comp) if var == "u" else self.layout.J_slice(comp)
-            x[sl.start + node] = value
+        x[self.layout.free_indices()] = d_free
+        x[self.layout.node0_indices()] = self.node0
         return x
 
 
@@ -112,45 +112,25 @@ def assemble(
     if kind is ActionKind.MCA_SDOF:
         if not isinstance(model, SdofModel):
             raise ValueError("MCA_SDOF assembly needs an SdofModel")
-        k_full, r_full, layout = build_sdof_mca_system(model, grid, scheme)
-        u0_vec = np.array([float(u0)])
-        _, j0 = mixed_initials(model, float(u0), float(v0))
-        j0_vec = np.array([j0])
+        model, u0, v0 = sdof_as_mdof(model), [float(u0)], [float(v0)]
     elif kind is ActionKind.MCA_MDOF:
         if not isinstance(model, MdofModel):
             raise ValueError("MCA_MDOF assembly needs an MdofModel")
-        k_full, r_full, layout = build_mca_system(model, grid, scheme)
-        u0_vec, j0_vec = mdof_mixed_initials(model, u0, v0)
     else:
         raise ValueError(f"assemble supports the mixed kinds only, got {kind!r}")
-
+    k_full, r_full, layout = build_mca_system(model, grid, scheme)
+    node0 = np.concatenate(mdof_mixed_initials(model, u0, v0))
     fixed_idx = layout.node0_indices()
-    free_idx = np.setdiff1d(np.arange(layout.size), fixed_idx)
-    fixed_vals = np.concatenate([u0_vec, j0_vec])
+    free_idx = layout.free_indices()
     K = k_full[np.ix_(free_idx, free_idx)]
-    r = r_full[free_idx] + k_full[np.ix_(free_idx, fixed_idx)] @ fixed_vals
-
-    dof_map = {}
-    row = 0
-    for comp in range(layout.n_dof):
-        for node in range(1, layout.n_nodes):
-            dof_map[("u", node, comp)] = row
-            row += 1
-    for elem in range(layout.n_el):
-        for node in range(1, layout.n_nodes):
-            dof_map[("J", node, elem)] = row
-            row += 1
-    fixed = {("u", 0, comp): float(u0_vec[comp]) for comp in range(layout.n_dof)}
-    fixed.update({("J", 0, elem): float(j0_vec[elem]) for elem in range(layout.n_el)})
+    r = r_full[free_idx] + k_full[np.ix_(free_idx, fixed_idx)] @ node0
     return QuadraticForm(
-        K=K, r=r, dof_map=dof_map, fixed=fixed, layout=layout, grid=grid,
-        kind=kind, scheme=scheme,
+        K=K, r=r, node0=node0, layout=layout, grid=grid, kind=kind, scheme=scheme
     )
 
 
 def _traj_from_free(qf: QuadraticForm, d_free: np.ndarray) -> Trajectory:
-    x = qf.full_vector(d_free)
-    u, J = qf.layout.unpack(x)
+    u, J = qf.layout.unpack(qf.full_vector(d_free))
     if qf.kind is ActionKind.MCA_SDOF:
         return Trajectory(qf.grid, u[:, 0], J[:, 0])
     return Trajectory(qf.grid, u, J)

@@ -419,6 +419,20 @@ def test_tonti_variation_vanishes_for_end_pinned_directions():
     assert vals[1] < 5e-3
 
 
+def test_mdof_inputs_must_match_model_widths():
+    g = Grid(1.0, 8)
+    building = build_shear_building(1, 1.0, 1.0, 0.2)  # one dof, one element
+    wide = Trajectory(g, np.ones((9, 2)), np.ones((9, 2)))
+    with pytest.raises(ValueError, match="widths"):
+        action_value(ActionKind.MCA_MDOF, building, wide)
+    traj = Trajectory(g, np.ones((9, 1)), np.ones((9, 1)))
+    wide_direction = Trajectory(g, np.zeros((9, 2)), np.zeros((9, 2)))
+    with pytest.raises(ValueError, match="widths"):
+        action_variation(ActionKind.MCA_MDOF, building, traj, wide_direction)
+    with pytest.raises(ValueError, match="scalar"):
+        action_variation(ActionKind.MCA_SDOF, DAMPED, zero_trajectory(g), wide_direction)
+
+
 def test_mdof_variation_vanishes_at_solved_trajectory():
     g = Grid(4.0, 48)
     building = build_shear_building(2, 1.0, 8.0, 0.3)

@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from convact._discrete import DofLayout
-from convact.actions import ActionKind, action_variation, el_residuals
+from convact._discrete import DofLayout, build_mca_system
+from convact.actions import ActionKind, action_value, action_variation, el_residuals
 from convact.grid import Grid
 from convact.models import (
     HarmonicForcing,
+    MdofModel,
     SdofModel,
     Trajectory,
     analytic_sdof,
     build_shear_building,
     mdof_oracle,
+    sdof_as_mdof,
 )
 from convact.stationarity import (
     ConvergenceTable,
@@ -45,11 +47,16 @@ def test_assembled_matrix_symmetric(scheme):
 def test_dof_map_is_bijection_and_node0_fixed():
     g = Grid(1.0, 8)
     qf = assemble(ActionKind.MCA_SDOF, DAMPED, g, 1.0, 0.5)
-    rows = sorted(qf.dof_map.values())
-    assert rows == list(range(2 * 8))
-    assert set(qf.fixed) == {("u", 0, 0), ("J", 0, 0)}
-    assert qf.fixed[("u", 0, 0)] == 1.0
-    assert qf.fixed[("J", 0, 0)] == pytest.approx(-0.5 - 0.2)  # -m v0 - c u0
+    free, node0 = qf.layout.free_indices(), qf.layout.node0_indices()
+    assert qf.n_free == free.size == 2 * 8
+    assert sorted(np.concatenate([free, node0]).tolist()) == list(range(2 * 9))
+    np.testing.assert_array_equal(node0, [0, 9])  # u and J at node 0
+    assert qf.node0[0] == 1.0
+    assert qf.node0[1] == pytest.approx(-0.5 - 0.2)  # -m v0 - c u0
+    d = np.arange(1.0, qf.n_free + 1.0)
+    x = qf.full_vector(d)
+    np.testing.assert_array_equal(x[free], d)
+    np.testing.assert_array_equal(x[node0], qf.node0)
 
 
 def test_fixed_values_fold_into_linear_term():
@@ -97,12 +104,12 @@ def test_gradient_matches_variation_on_unit_directions():
     u, J = qf.layout.unpack(x)
     traj = Trajectory(g, u[:, 0], J[:, 0])
     grad = qf.K @ d + qf.r
-    for key, row in list(qf.dof_map.items())[::5]:
-        var, node, comp = key
-        basis_u = np.zeros(17)
-        basis_J = np.zeros(17)
-        (basis_u if var == "u" else basis_J)[node] = 1.0
-        direction = Trajectory(g, basis_u, basis_J)
+    free = qf.layout.free_indices()
+    for row in range(0, qf.n_free, 5):
+        basis = np.zeros(qf.layout.size)
+        basis[free[row]] = 1.0
+        basis_u, basis_J = qf.layout.unpack(basis)
+        direction = Trajectory(g, basis_u[:, 0], basis_J[:, 0])
         vv = action_variation(ActionKind.MCA_SDOF, DAMPED, traj, direction)
         assert vv == pytest.approx(grad[row], rel=1e-8, abs=1e-10)
 
@@ -159,8 +166,7 @@ def test_singular_system_raises():
             QuadraticForm(
                 K=np.zeros((1, 1)),
                 r=np.zeros(1),
-                dof_map={("u", 1, 0): 0},
-                fixed={("u", 0, 0): 0.0},
+                node0=np.zeros(1),
                 layout=layout,
                 grid=Grid(1.0, 2),
                 kind=ActionKind.MCA_SDOF,
@@ -175,20 +181,18 @@ def test_quadratic_form_validation():
         QuadraticForm(
             K=np.array([[1.0, 2.0], [0.0, 1.0]]),
             r=np.zeros(2),
-            dof_map={("u", 1, 0): 0, ("u", 2, 0): 1},
-            fixed={("u", 0, 0): 0.0},
+            node0=np.zeros(1),
             layout=DofLayout(3, 1, 0),
             grid=Grid(1.0, 2),
             kind=ActionKind.MCA_SDOF,
             scheme="reduced",
         )
-    with pytest.raises(ValueError, match="bijection"):
+    with pytest.raises(ValueError, match="free values"):
         QuadraticForm(
             K=np.eye(2),
             r=np.zeros(2),
-            dof_map={("u", 1, 0): 0, ("u", 2, 0): 2},
-            fixed={},
-            layout=DofLayout(3, 1, 0),
+            node0=np.zeros(1),
+            layout=DofLayout(4, 1, 0),
             grid=Grid(1.0, 2),
             kind=ActionKind.MCA_SDOF,
             scheme="reduced",
@@ -201,6 +205,50 @@ def test_assemble_rejects_wrong_kind_or_model():
         assemble(ActionKind.HAMILTON, DAMPED, g, 0.0, 0.0)
     with pytest.raises(ValueError):
         assemble(ActionKind.MCA_MDOF, DAMPED, g, 0.0, 0.0)
+
+
+def _random_coupled_model(rng) -> MdofModel:
+    """Two dofs with full M, C, A and B, forcing and impulse data."""
+
+    def spd(shift):
+        a = rng.standard_normal((2, 2))
+        return a @ a.T + shift * np.eye(2)
+
+    return MdofModel(
+        M=spd(0.5),
+        C=spd(0.0),
+        A_blocks=(spd(0.5),),
+        B=rng.standard_normal((2, 2)) + 2.0 * np.eye(2),
+        forcing=HarmonicForcing(rng.standard_normal(2), rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0)),
+        j_hat_0=rng.standard_normal(2),
+    )
+
+
+@pytest.mark.parametrize("scheme", ["reduced", "direct"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_coupled_assembly_matches_action_value(scheme, seed):
+    # 1/2 x^T K x + r^T x over all nodal values is the functional itself
+    rng = np.random.default_rng(seed)
+    model = _random_coupled_model(rng)
+    g = Grid(2.0, 24)
+    K, r, layout = build_mca_system(model, g, scheme)
+    traj = Trajectory(g, rng.standard_normal((25, 2)), rng.standard_normal((25, 2)))
+    x = layout.pack(traj.u, traj.J)
+    value = action_value(ActionKind.MCA_MDOF, model, traj, scheme=scheme)
+    assert 0.5 * x @ K @ x + r @ x == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize("scheme", ["reduced", "direct"])
+def test_sdof_assembly_is_the_one_dof_mdof_assembly(scheme):
+    model = SdofModel(1.0, 0.3, 2.0, forcing=HarmonicForcing(0.5, 1.2, 0.1), j_hat_0=0.2)
+    g = Grid(3.0, 16)
+    qf_s = assemble(ActionKind.MCA_SDOF, model, g, 0.6, -0.4, scheme)
+    qf_m = assemble(
+        ActionKind.MCA_MDOF, sdof_as_mdof(model), g, np.array([0.6]), np.array([-0.4]), scheme
+    )
+    np.testing.assert_array_equal(qf_s.K, qf_m.K)
+    np.testing.assert_array_equal(qf_s.r, qf_m.r)
+    np.testing.assert_array_equal(qf_s.node0, qf_m.node0)
 
 
 def test_convergence_study_table():
