@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import hankel
 
 from ._stencils import deriv1_matrix
 from .fracops import gl_derivative_matrix
@@ -52,23 +53,21 @@ def conv_end_matrix(grid: Grid) -> np.ndarray:
 def prefix_conv_matrices(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Quadratic forms of the nested convolutions [1 * [u*u]](t) and
     [tau * [u*u]](t): sums of prefix pairings weighted by the outer trapezoid
-    rule and kernel samples."""
+    rule and kernel samples.
+
+    The prefix pairing over nodes 0..j pairs node p with node j - p, so entry
+    (p, q) comes from prefix j = p + q alone (1 <= j <= n): a Hankel fill of
+    the outer weights, times the prefix trapezoid weight h, halved at p = 0
+    or q = 0."""
     n = grid.n_steps
-    h = grid.h
-    t = grid.t_final
     outer = grid.trapezoid_weights()
-    w_const = np.zeros((n + 1, n + 1))
-    w_ramp = np.zeros((n + 1, n + 1))
-    taus = grid.nodes()
-    for j in range(1, n + 1):  # prefix pairing over nodes 0..j; j = 0 is empty
-        idx = np.arange(j + 1)
-        wj = np.full(j + 1, h)
-        wj[0] *= 0.5
-        wj[-1] *= 0.5
-        block = np.zeros((n + 1, n + 1))
-        block[idx, j - idx] = wj
-        w_const += outer[j] * block
-        w_ramp += outer[j] * (t - taus[j]) * block
+    outer[0] = 0.0  # the prefix j = 0 pairs nothing
+    w_pq = np.full((n + 1, n + 1), grid.h)
+    w_pq[0] *= 0.5
+    w_pq[:, 0] *= 0.5
+    zeros = np.zeros(n + 1)  # entries with p + q > n
+    w_const = hankel(outer, zeros) * w_pq
+    w_ramp = hankel(outer * (grid.t_final - grid.nodes()), zeros) * w_pq
     return w_const, w_ramp
 
 

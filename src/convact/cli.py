@@ -282,15 +282,22 @@ def _mdof_model(params: dict):
     return build_shear_building(p["stories"], p["mass"], p["stiffness"], p["damping"])
 
 
+def _initial_vectors(params: dict, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u0, v0) of d entries each from the comma lists in params; an absent
+    list defaults to u0 = (1, 0, ..., 0) and v0 = 0."""
+    out = []
+    for name, default in (("u0", [1.0] + [0.0] * (d - 1)), ("v0", [0.0] * d)):
+        vals = np.asarray(default if params[name] is None else _float_list(params[name]))
+        if vals.shape != (d,):
+            raise _UsageError(f"{name}: expected {d} comma-separated values, got {vals.size}")
+        out.append(vals)
+    return tuple(out)
+
+
 def cmd_mdof(params: dict) -> int:
     model = _mdof_model(params)
     d = model.n_dof
-    u0 = np.asarray(
-        _float_list(params["u0"]) if params.get("u0") else [1.0] + [0.0] * (d - 1)
-    )
-    v0 = np.asarray(_float_list(params["v0"]) if params.get("v0") else [0.0] * d)
-    if u0.shape != (d,) or v0.shape != (d,):
-        raise _UsageError(f"initial vectors must have {d} entries")
+    u0, v0 = _initial_vectors(params, d)
     n = int(params["n"])
     grid = Grid(float(params["t"]), n)
     try:
@@ -325,8 +332,8 @@ CONVERGENCE_DEFAULTS = {
     "m": 1.0,
     "c": 0.2,
     "k": 1.0,
-    "u0": "1.0",
-    "v0": "0.0",
+    "u0": None,
+    "v0": None,
     "t": 10.0,
     "n": [128, 256, 512],
     "scheme": "reduced",
@@ -340,16 +347,11 @@ def cmd_convergence(params: dict) -> int:
     n_list = [int(n) for n in params["n"]]
     if params["kind"] == "sdof":
         model = _sdof_model({**SDOF_DEFAULTS, **{k: params[k] for k in ("m", "c", "k")}})
-        u0 = _float_list(params["u0"])[0]
-        v0 = _float_list(params["v0"])[0]
+        u0, v0 = (float(x[0]) for x in _initial_vectors(params, 1))
         kind = ActionKind.MCA_SDOF
     elif params["kind"] == "mdof":
         model = _mdof_model(params)
-        d = model.n_dof
-        u0 = np.asarray(_float_list(params["u0"])) if params.get("u0") else None
-        if u0 is None or u0.shape != (d,):
-            u0 = np.array([1.0] + [0.0] * (d - 1))
-        v0 = np.zeros(d)
+        u0, v0 = _initial_vectors(params, model.n_dof)
         kind = ActionKind.MCA_MDOF
     else:
         raise _UsageError("convergence kind must be 'sdof' or 'mdof'")

@@ -3,9 +3,9 @@
 The mixed formulation tracks the displacement u together with the impulse J
 of the internal (spring) force, with dJ/dt equal to the force. Reference
 solutions come from two independent routes: the closed-form damped oscillator
-(single dof, free or harmonically forced) and a high-accuracy state-space
-integration (any dof count). Assemblers produce shear-building and clamped
-1D-bar instances of the multi-dof model.
+(single dof, free or harmonically forced) and the exact state-space
+propagator, one matrix exponential per step (any dof count). Assemblers
+produce shear-building and clamped 1D-bar instances of the multi-dof model.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 import numpy as np
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, expm
 
 from .grid import Grid, Signal
 
@@ -49,15 +49,16 @@ class HarmonicForcing:
         return np.asarray(self.amplitude) * np.sin(self.omega * np.asarray(tau) + self.phase)
 
 
+_UNFORCED = HarmonicForcing(0.0, 0.0)
+
+
 def _forcing_samples(forcing, taus: np.ndarray, width: int | None = None) -> np.ndarray:
-    """Sampled forcing history; zeros when forcing is None."""
-    if width is None:  # scalar model
-        if forcing is None:
-            return np.zeros_like(taus)
-        return np.asarray([float(forcing(t)) for t in taus])
-    if forcing is None:
-        return np.zeros((taus.size, width))
-    return np.asarray([np.broadcast_to(forcing(t), (width,)).astype(float) for t in taus])
+    """Sampled forcing history, (n_nodes,) for a scalar model and
+    (n_nodes, width) otherwise; zeros when forcing is None."""
+    forcing = _UNFORCED if forcing is None else forcing
+    if width is None:
+        return np.broadcast_to(forcing(taus), taus.shape).astype(float)
+    return np.broadcast_to(forcing(taus[:, None]), (taus.size, width)).astype(float)
 
 
 @dataclass(frozen=True)
@@ -137,6 +138,15 @@ class MdofModel:
         j0 = np.zeros(n_dof) if self.j_hat_0 is None else np.asarray(self.j_hat_0, dtype=float)
         if j0.shape != (n_dof,):
             raise ValueError(f"j_hat_0: shape {j0.shape}, expected ({n_dof},)")
+        if self.forcing is not None:
+            if not isinstance(self.forcing, HarmonicForcing):
+                kind = type(self.forcing).__name__
+                raise ValueError(f"forcing: expected a HarmonicForcing or None, got {kind}")
+            amp_shape = np.shape(self.forcing.amplitude)
+            if amp_shape not in ((), (n_dof,)):
+                raise ValueError(
+                    f"forcing.amplitude: shape {amp_shape}, expected a scalar or ({n_dof},)"
+                )
         for arr in (M, C, B, j0) + blocks:
             arr.setflags(write=False)
         object.__setattr__(self, "M", M)
@@ -299,55 +309,40 @@ def analytic_sdof(model: SdofModel, u0: float, v0: float, grid: Grid) -> Traject
     return lift_to_mixed(model, u_sig, u0, v0)
 
 
-def mdof_oracle(
-    model: MdofModel, u0, v0, grid: Grid, substeps: int = 8, with_velocity: bool = False
-):
-    """Reference trajectory by classical fourth-order one-step integration of
-    the displacement-form system M u'' + C u' + (B A^-1 B^T) u = f at step
-    h/substeps, with J integrated alongside via J' = A^-1 B^T u.
+def mdof_oracle(model: MdofModel, u0, v0, grid: Grid, with_velocity: bool = False):
+    """Exact sampled trajectory of M u'' + C u' + (B A^-1 B^T) u = f with
+    J' = A^-1 B^T u and J(0) from the mixed initial conditions.
+
+    The forcing a sin(omega tau + phase) is the output of the oscillator
+    s' = omega c, c' = -omega s started at (sin phase, cos phase), so the
+    augmented state z = (u, u', J, s, c) obeys the autonomous linear system
+    z' = F z with u'' = M^-1 (a s - C u' - B A^-1 B^T u). One matrix
+    exponential expm(h F) (Van Loan 1978) maps each node onto the next,
+    exact up to roundoff.
 
     Returns the Trajectory, or (Trajectory, velocity history) when
     `with_velocity` is set (for energy audits)."""
-    u0 = np.asarray(u0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    d = model.n_dof
-    k_red = model.reduced_stiffness()
+    d, e = model.n_dof, model.n_el
+    forcing = _UNFORCED if model.forcing is None else model.forcing
+    u0, j0 = mdof_mixed_initials(model, u0, v0)
     a_inv_bt = np.linalg.solve(model.A, model.B.T)
     m_inv = np.linalg.inv(model.M)
-    forcing = model.forcing
-
-    def f_of(t: float) -> np.ndarray:
-        if forcing is None:
-            return np.zeros(d)
-        return np.broadcast_to(forcing(t), (d,)).astype(float)
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        u, v = y[:d], y[d : 2 * d]
-        acc = m_inv @ (f_of(t) - model.C @ v - k_red @ u)
-        jdot = a_inv_bt @ u
-        return np.concatenate([v, acc, jdot])
-
-    _, j0 = mdof_mixed_initials(model, u0, v0)
-    y = np.concatenate([u0, v0, j0])
-    hs = grid.h / substeps
-    u_hist = np.empty((grid.n_nodes, d))
-    v_hist = np.empty((grid.n_nodes, d))
-    j_hist = np.empty((grid.n_nodes, model.n_el))
-    u_hist[0], v_hist[0], j_hist[0] = u0, v0, j0
-    t = 0.0
+    u, v, j = slice(0, d), slice(d, 2 * d), slice(2 * d, 2 * d + e)
+    s, c = 2 * d + e, 2 * d + e + 1
+    rate = np.zeros((c + 1, c + 1))
+    rate[u, v] = np.eye(d)
+    rate[v, u] = -m_inv @ model.B @ a_inv_bt
+    rate[v, v] = -m_inv @ model.C
+    rate[v, s] = m_inv @ np.broadcast_to(forcing.amplitude, (d,))
+    rate[j, u] = a_inv_bt
+    rate[s, c], rate[c, s] = forcing.omega, -forcing.omega
+    step = expm(grid.h * rate)
+    z = np.empty((grid.n_nodes, c + 1))
+    z[0] = np.concatenate([u0, v0, j0, [math.sin(forcing.phase), math.cos(forcing.phase)]])
     for node in range(1, grid.n_nodes):
-        for _ in range(substeps):
-            k1 = rhs(t, y)
-            k2 = rhs(t + 0.5 * hs, y + 0.5 * hs * k1)
-            k3 = rhs(t + 0.5 * hs, y + 0.5 * hs * k2)
-            k4 = rhs(t + hs, y + hs * k3)
-            y = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += hs
-        u_hist[node] = y[:d]
-        v_hist[node] = y[d : 2 * d]
-        j_hist[node] = y[2 * d :]
-    traj = Trajectory(grid, u_hist, j_hist)
-    return (traj, v_hist) if with_velocity else traj
+        z[node] = step @ z[node - 1]
+    traj = Trajectory(grid, z[:, u], z[:, j])
+    return (traj, z[:, v]) if with_velocity else traj
 
 
 def _incidence(n: int) -> np.ndarray:

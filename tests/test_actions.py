@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from convact._discrete import prefix_conv_matrices
 from convact.actions import (
     ActionKind,
     action_value,
@@ -218,6 +219,29 @@ def test_gurtin_variation_vanishes_at_exact_solution():
             )
         )
     assert vals[2] < vals[1] < vals[0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 64])
+def test_prefix_conv_matrices_match_prefix_loop(n):
+    # reference: the sum over prefixes j of outer[j] times the trapezoid
+    # anti-diagonal pairing of nodes 0..j
+    g = Grid(3.0, n)
+    outer = g.trapezoid_weights()
+    taus = g.nodes()
+    ref_const = np.zeros((n + 1, n + 1))
+    ref_ramp = np.zeros((n + 1, n + 1))
+    for j in range(1, n + 1):
+        idx = np.arange(j + 1)
+        wj = np.full(j + 1, g.h)
+        wj[0] *= 0.5
+        wj[-1] *= 0.5
+        block = np.zeros((n + 1, n + 1))
+        block[idx, j - idx] = wj
+        ref_const += outer[j] * block
+        ref_ramp += outer[j] * (g.t_final - taus[j]) * block
+    w_const, w_ramp = prefix_conv_matrices(g)
+    assert w_const.tobytes() == ref_const.tobytes()
+    assert w_ramp.tobytes() == ref_ramp.tobytes()
 
 
 # ---------------------------------------------------------------------------

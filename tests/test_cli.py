@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from convact.cli import main
 from convact.models import build_shear_building, mdof_to_json
 
@@ -108,6 +110,15 @@ def test_mdof_wrong_ic_length(tmp_path):
     assert run(tmp_path, "mdof", "--preset", "shear-3", "--u0", "1,0") == 1
 
 
+def test_mdof_rejects_forcing_of_wrong_width(tmp_path, capsys):
+    doc = json.loads(mdof_to_json(build_shear_building(3, 1.0, 10.0, 0.4)))
+    doc["forcing"] = {"kind": "harmonic", "amplitude": [1.0, 0.0], "omega": 2.0}
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    assert run(tmp_path, "mdof", "--model", str(model_path), "--n", "16") == 1
+    assert "forcing.amplitude" in capsys.readouterr().err
+
+
 def test_convergence_table_written(tmp_path, capsys):
     code = run(tmp_path, "convergence", "--kind", "sdof", "--n", "32,64,128")
     assert code == 0
@@ -115,6 +126,35 @@ def test_convergence_table_written(tmp_path, capsys):
     assert lines[0] == "n,h,err_u_sup,err_u_l2,err_J_sup,err_J_l2,order_u,order_J,wall_ms"
     assert len(lines) == 4
     assert "orders=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kind", "mdof", "--u0", "0.5,0.2"],
+        ["--kind", "mdof", "--v0", "0.3,0"],
+        ["--kind", "sdof", "--u0", "0.5,9"],
+        ["--kind", "sdof", "--v0", "0,1"],
+    ],
+    ids=["mdof-short-u0", "mdof-short-v0", "sdof-long-u0", "sdof-long-v0"],
+)
+def test_convergence_rejects_initial_vectors_of_wrong_length(tmp_path, capsys, argv):
+    assert run(tmp_path, "convergence", *argv, "--n", "16,32,64", "--t", "3") == 1
+    assert f"{argv[2].lstrip('-')}: expected" in capsys.readouterr().err
+    assert not (tmp_path / "convergence.csv").exists()
+
+
+def test_convergence_honours_initial_velocity(tmp_path):
+    def table(*argv):
+        argv = ["convergence", "--kind", "mdof", "--n", "16,32,64", "--t", "3", *argv]
+        assert run(tmp_path, *argv) == 0
+        lines = (tmp_path / "convergence.csv").read_text().splitlines()
+        return [line.rsplit(",", 1)[0] for line in lines]  # drop wall_ms
+
+    default = table()
+    assert table("--u0", "1,0,0", "--v0", "0,0,0") == default
+    assert table("--v0", "0.3,0,0") != default
+    assert table("--u0", "0.5,0.2,0") != default
 
 
 def test_convergence_needs_three_grids(tmp_path):

@@ -150,8 +150,8 @@ def test_mdof_oracle_matches_analytic_sdof():
     mdof = sdof_as_mdof(DAMPED)
     traj = mdof_oracle(mdof, [1.0], [0.0], g)
     scale = np.max(np.abs(sdof_traj.u))
-    assert abs(traj.u[-1, 0] - sdof_traj.u[-1]) / scale < 1e-8
-    np.testing.assert_allclose(traj.u[:, 0], sdof_traj.u, atol=1e-7 * scale)
+    assert abs(traj.u[-1, 0] - sdof_traj.u[-1]) / scale < 1e-12
+    np.testing.assert_allclose(traj.u[:, 0], sdof_traj.u, atol=1e-12 * scale)
 
 
 def test_mdof_oracle_zero_stays_zero():
@@ -172,25 +172,67 @@ def test_mdof_oracle_conserves_energy_undamped():
         "ni,ij,nj->n", traj.u, k_red, traj.u
     )
     e0 = 0.5 * u0 @ k_red @ u0
-    assert np.max(np.abs(energy - e0)) / e0 < 1e-6
+    assert np.max(np.abs(energy - e0)) / e0 < 1e-12
 
 
-def test_mdof_oracle_energy_tightens_with_substeps():
-    model = build_shear_building(2, 1.0, 8.0, 0.0)
-    g = Grid(4.0, 64)
-    u0 = np.array([1.0, -0.5])
-    k_red = model.reduced_stiffness()
-    e0 = 0.5 * u0 @ k_red @ u0
+def _coupled_model(seed: int) -> MdofModel:
+    """Two dofs with full M, C, A and B, harmonic forcing and impulse data."""
+    rng = np.random.default_rng(seed)
 
-    def energy_drift(substeps):
-        traj, v = mdof_oracle(model, u0, np.zeros(2), g, substeps=substeps, with_velocity=True)
-        energy = 0.5 * np.einsum("ni,ij,nj->n", v, model.M, v) + 0.5 * np.einsum(
-            "ni,ij,nj->n", traj.u, k_red, traj.u
-        )
-        return np.max(np.abs(energy - e0)) / e0
+    def spd(shift):
+        a = rng.standard_normal((2, 2))
+        return a @ a.T + shift * np.eye(2)
 
-    assert energy_drift(8) < energy_drift(2)
-    assert energy_drift(8) < 1e-6
+    return MdofModel(
+        M=spd(0.5),
+        C=spd(0.0),
+        A_blocks=(spd(0.5),),
+        B=rng.standard_normal((2, 2)) + 2.0 * np.eye(2),
+        forcing=HarmonicForcing(
+            rng.standard_normal(2), rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0)
+        ),
+        j_hat_0=rng.standard_normal(2),
+    )
+
+
+@pytest.mark.parametrize(
+    "model,u0,v0,t_final",
+    [
+        (
+            build_shear_building(
+                3, 1.0, 10.0, 0.4, forcing=HarmonicForcing(np.array([1.0, 0.0, 0.0]), 2.0)
+            ),
+            [1.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0],
+            6.0,
+        ),
+        (_coupled_model(11), [0.4, -0.3], [0.2, 0.5], 4.0),
+    ],
+    ids=["forced-shear-3", "coupled-2dof"],
+)
+def test_mdof_oracle_matches_high_order_integrator(model, u0, v0, t_final):
+    # independent route: DOP853 on (u, u', J) with the forcing called directly
+    from scipy.integrate import solve_ivp
+
+    d = model.n_dof
+    a_inv_bt = np.linalg.solve(model.A, model.B.T)
+
+    def rhs(t, y):
+        u, v = y[:d], y[d : 2 * d]
+        jdot = a_inv_bt @ u
+        acc = np.linalg.solve(model.M, model.forcing(t) - model.C @ v - model.B @ jdot)
+        return np.concatenate([v, acc, jdot])
+
+    g = Grid(t_final, 128)
+    traj, vel = mdof_oracle(model, u0, v0, g, with_velocity=True)
+    _, j0 = mdof_mixed_initials(model, u0, v0)
+    sol = solve_ivp(
+        rhs, (0.0, t_final), np.concatenate([u0, v0, j0]), method="DOP853",
+        t_eval=g.nodes(), rtol=1e-12, atol=1e-12,
+    )
+    assert sol.success
+    for got, ref in ((traj.u, sol.y[:d].T), (vel, sol.y[d : 2 * d].T), (traj.J, sol.y[2 * d :].T)):
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def test_shear_building_single_story_reduces_to_sdof():
@@ -256,6 +298,12 @@ def test_mdof_model_validation_messages():
         MdofModel(M=eye, C=np.zeros((2, 2)), A_blocks=(-eye,), B=eye)
     with pytest.raises(ValueError, match="B: shape"):
         MdofModel(M=eye, C=eye, A_blocks=(eye,), B=np.ones((2, 3)))
+    with pytest.raises(ValueError, match="forcing: expected a HarmonicForcing"):
+        MdofModel(M=eye, C=eye, A_blocks=(eye,), B=eye, forcing=lambda tau: np.ones(2))
+    with pytest.raises(ValueError, match="forcing.amplitude"):
+        MdofModel(M=eye, C=eye, A_blocks=(eye,), B=eye, forcing=HarmonicForcing(np.ones(3), 1.0))
+    scalar = MdofModel(M=eye, C=eye, A_blocks=(eye,), B=eye, forcing=HarmonicForcing(0.5, 1.0))
+    assert scalar.forcing_history(np.array([0.0, 1.0])).shape == (2, 2)
 
 
 def test_mdof_json_roundtrip():
@@ -287,6 +335,10 @@ def test_mdof_json_rejects_bad_documents():
     doc = _json.loads(good)
     doc["forcing"] = {"kind": "sawtooth"}
     with pytest.raises(ValueError, match="forcing.kind"):
+        mdof_from_json(_json.dumps(doc))
+    doc = _json.loads(good)
+    doc["forcing"] = {"kind": "harmonic", "amplitude": [1.0, 0.0, 0.0], "omega": 2.0}
+    with pytest.raises(ValueError, match=r"forcing.amplitude: shape \(3,\)"):
         mdof_from_json(_json.dumps(doc))
     doc = _json.loads(good)
     doc["extra"] = 1
@@ -321,5 +373,5 @@ def test_oracle_agrees_with_closed_form_in_all_regimes(c):
     closed = analytic_sdof(model, 0.8, -0.5, g)
     traj = mdof_oracle(sdof_as_mdof(model), [0.8], [-0.5], g)
     scale = max(np.max(np.abs(closed.u)), 1e-30)
-    assert np.max(np.abs(traj.u[:, 0] - closed.u)) / scale < 1e-8
+    assert np.max(np.abs(traj.u[:, 0] - closed.u)) / scale < 1e-12
     assert np.max(np.abs(traj.J[:, 0] - closed.J)) < 1e-4  # lift uses trapezoid
