@@ -128,11 +128,7 @@ def _symmetrize(q: np.ndarray) -> np.ndarray:
 
 def increment_matrix(grid: Grid) -> np.ndarray:
     """Cell increments: (L x)_m = x_{m+1} - x_m for cells m = 0..n-1."""
-    n = grid.n_steps
-    mat = np.zeros((n, n + 1))
-    mat[np.arange(n), np.arange(n)] = -1.0
-    mat[np.arange(n), np.arange(n) + 1] = 1.0
-    return mat
+    return np.diff(np.eye(grid.n_nodes), axis=0)
 
 
 def rate_pair_matrix(grid: Grid) -> np.ndarray:

@@ -31,11 +31,4 @@ def deriv2(values: np.ndarray, h: float) -> np.ndarray:
 
 def deriv1_matrix(n_steps: int, h: float) -> np.ndarray:
     """Matrix form of `deriv1` acting on node-value vectors."""
-    n = n_steps
-    mat = np.zeros((n + 1, n + 1))
-    for k in range(1, n):
-        mat[k, k - 1] = -1.0 / (2.0 * h)
-        mat[k, k + 1] = 1.0 / (2.0 * h)
-    mat[0, 0], mat[0, 1], mat[0, 2] = -3.0 / (2 * h), 4.0 / (2 * h), -1.0 / (2 * h)
-    mat[n, n], mat[n, n - 1], mat[n, n - 2] = 3.0 / (2 * h), -4.0 / (2 * h), 1.0 / (2 * h)
-    return mat
+    return deriv1(np.eye(n_steps + 1), h)

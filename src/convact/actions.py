@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._stencils import deriv1, deriv2
 from .fracops import Side, frac_deriv
@@ -356,10 +355,8 @@ def el_residuals(kind: ActionKind, model, traj, *, ics=None) -> ResidualReport:
             raise ValueError(f"{kind.value} residuals need ics=(u0, v0)")
         u, J = traj.u, traj.J
         f = model.forcing_history(grid.nodes())
-        ddu = np.column_stack([deriv2(u[:, a], h) for a in range(u.shape[1])])
-        du = np.column_stack([deriv1(u[:, a], h) for a in range(u.shape[1])])
-        ddJ = np.column_stack([deriv2(J[:, e], h) for e in range(J.shape[1])])
-        dJ = np.column_stack([deriv1(J[:, e], h) for e in range(J.shape[1])])
+        ddu, du = deriv2(u, h), deriv1(u, h)
+        ddJ, dJ = deriv2(J, h), deriv1(J, h)
         fields["motion"] = ddu @ model.M.T + du @ model.C.T + dJ @ model.B.T - f
         fields["compatibility"] = -ddJ @ model.A.T + du @ model.B
         v0 = np.asarray(ics[1], dtype=float)
@@ -432,6 +429,8 @@ def make_direction_battery(
 ) -> list[Signal]:
     """Fixed-seed random piecewise-cubic directions vanishing at tau = 0 (and
     at tau = t when requested)."""
+    from scipy.interpolate import CubicSpline  # deferred: it dominates `import convact`
+
     rng = np.random.default_rng(seed)
     knots = np.linspace(0.0, grid.t_final, 6)
     out = []

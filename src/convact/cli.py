@@ -1,10 +1,13 @@
 """Command-line surface: experiment orchestration and CSV emission.
 
 Subcommands: verify-identities, sdof, mdof, convergence, actions. Exit codes:
-0 success, 1 usage/config error, 2 numerical failure. Flags override config
-file keys (JSON); unknown config keys are rejected. Output files are written
-atomically (temp + rename) into --output-dir, which defaults to the
-CONVACT_OUTPUT_DIR environment variable or the working directory.
+0 success, 1 usage/config error, 2 numerical failure. Each parameter is
+declared once, as a flag with its converter and default. A config file (JSON)
+is turned into flag tokens placed ahead of the command line, so its values
+are checked exactly like the flags and the flags override them; unknown
+config keys are rejected. Output files are written atomically (temp + rename)
+into --output-dir, which defaults to the CONVACT_OUTPUT_DIR environment
+variable or the working directory.
 """
 
 from __future__ import annotations
@@ -34,10 +37,11 @@ from .models import (
     analytic_sdof,
     build_shear_building,
     mdof_from_json,
-    mdof_oracle,
+    sdof_as_mdof,
 )
 from .stationarity import (
     SingularSystemError,
+    _oracle_trajectory,
     assemble,
     convergence_study,
     solve_stationary,
@@ -54,6 +58,13 @@ class _UsageError(Exception):
     """Configuration or parameter problem: maps to exit code 1."""
 
 
+class _NumericalError(Exception):
+    """Numerical failure: maps to exit code 2."""
+
+    def __init__(self, module: str, operation: str, detail: str):
+        super().__init__(f"numerical failure in {module}.{operation}: {detail}")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse exits 2 by default; the contract is 1
         raise _UsageError(message)
@@ -68,7 +79,7 @@ def _write_atomic(path: Path, text: str):
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(part) for part in str(text).split(",") if part != ""]
+        return [float(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
         raise _UsageError(f"expected a comma-separated number list, got {text!r}") from exc
 
@@ -81,86 +92,56 @@ def _int_list(text: str) -> list[int]:
     return out
 
 
-def _merge_config(args: argparse.Namespace, parser_dests: set, defaults: dict) -> dict:
-    """Effective parameters: defaults, overridden by config file keys,
-    overridden by explicitly passed flags (flags always win)."""
-    merged = dict(defaults)
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        try:
-            doc = json.loads(Path(cfg_path).read_text())
-        except OSError as exc:
-            raise _UsageError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise _UsageError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise _UsageError("config file must hold a JSON object")
-        unknown = set(doc) - parser_dests
-        if unknown:
-            raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(doc)
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
+def _identity_kinds(text: str) -> list[IdentityKind]:
+    try:
+        return [IdentityKind(k) for k in text.split(",")]
+    except ValueError as exc:
+        raise _UsageError(f"unknown identity kind: {exc}") from exc
+
+
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The keys of the --config JSON object as `--key-name=value` tokens:
+    lists are comma-joined and null means absent (the flag's default)."""
+    try:
+        doc = json.loads(Path(args.config).read_text())
+    except OSError as exc:
+        raise _UsageError(f"cannot read config file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise _UsageError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise _UsageError("config file must hold a JSON object")
+    unknown = set(doc) - (set(vars(args)) - {"command", "config"})
+    if unknown:
+        raise _UsageError(f"unknown config keys: {sorted(unknown)}")
+    tokens = []
+    for key, value in doc.items():
+        if value is None:
             continue
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
-def _out_dir(params: dict) -> Path:
-    default = os.environ.get(OUTPUT_DIR_ENV, ".")
-    return Path(params.get("output_dir") or default)
-
-
-def _fail_numerical(module: str, operation: str, detail: str) -> int:
-    print(
-        f"numerical failure in {module}.{operation}: {detail}",
-        file=sys.stderr,
-    )
-    return EXIT_NUMERICAL
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        tokens.append(f"--{key.replace('_', '-')}={value}")
+    return tokens
 
 
 # ---------------------------------------------------------------------------
 # verify-identities
 
-IDENTITY_DEFAULTS = {
-    "alpha": [0.25, 0.5, 0.75],
-    "n": [64, 128, 256],
-    "kind": [k.value for k in IdentityKind],
-    "t": 1.0,
-    "seed": 2024,
-    "output_dir": None,
-    "tamper": False,
-}
 
-
-def cmd_verify_identities(params: dict) -> int:
-    try:
-        kinds = [IdentityKind(k) for k in params["kind"]]
-    except ValueError as exc:
-        raise _UsageError(f"unknown identity kind: {exc}") from exc
-    alphas = [float(a) for a in params["alpha"]]
-    for a in alphas:
+def cmd_verify_identities(args: argparse.Namespace) -> int:
+    for a in args.alpha:
         if not 0.0 < a <= 1.0:
             raise _UsageError(f"alpha must lie in (0, 1], got {a}")
-        if a == 1.0 and any(k in COMPLEMENTARY_KINDS for k in kinds):
+        if a == 1.0 and any(k in COMPLEMENTARY_KINDS for k in args.kind):
             raise _UsageError("alpha = 1 is rejected for complementary kinds")
-    n_list = sorted({int(n) for n in params["n"]})
+    n_list = sorted(set(args.n))
     if len(n_list) < 2:
         raise _UsageError("need at least two distinct grid sizes for order estimates")
-    rows = run_identity_sweep(kinds, alphas, n_list, float(params["t"]), int(params["seed"]))
-    if params.get("tamper"):
-        from dataclasses import replace as _replace
-
-        broken = _replace(rows[0].report, lhs=math.nan, residual=math.nan)
-        rows[0] = _replace(rows[0], report=broken)
+    rows = run_identity_sweep(args.kind, args.alpha, n_list, args.t, args.seed)
     text = sweep_rows_to_csv(rows)
-    _write_atomic(_out_dir(params) / "identities.csv", text)
+    _write_atomic(Path(args.output_dir) / "identities.csv", text)
     if any(not math.isfinite(row.report.residual) for row in rows):
-        return _fail_numerical(
-            "identities",
-            "run_identity_sweep",
-            f"non-finite residual (t={params['t']}, n_list={n_list})",
+        raise _NumericalError(
+            "identities", "run_identity_sweep", f"non-finite residual (t={args.t}, n_list={n_list})"
         )
     failures = []
     for row in rows:
@@ -179,87 +160,44 @@ def cmd_verify_identities(params: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sdof
-
-SDOF_DEFAULTS = {
-    "m": 1.0,
-    "c": 0.2,
-    "k": 1.0,
-    "u0": 1.0,
-    "v0": 0.0,
-    "t": 10.0,
-    "n": 512,
-    "scheme": "reduced",
-    "forcing_amplitude": 0.0,
-    "forcing_omega": 0.0,
-    "forcing_phase": 0.0,
-    "output_dir": None,
-}
+# sdof and mdof
 
 
-def _sdof_model(params: dict) -> SdofModel:
-    forcing = None
-    if params["forcing_amplitude"] != 0.0:
-        forcing = HarmonicForcing(
-            float(params["forcing_amplitude"]),
-            float(params["forcing_omega"]),
-            float(params["forcing_phase"]),
-        )
+def _solve_against_oracle(args, kind: ActionKind, model, u0, v0):
+    """Solve by stationarity on the grid of `args`, compare with the oracle
+    and write <command>_solved/_oracle/_residuals.csv; returns the solve
+    report and the sup error of u."""
+    grid = Grid(args.t, args.n)
     try:
-        return SdofModel(
-            m=float(params["m"]), c=float(params["c"]), k=float(params["k"]), forcing=forcing
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-
-
-def cmd_sdof(params: dict) -> int:
-    model = _sdof_model(params)
-    n = int(params["n"])
-    if n < 2:
-        raise _UsageError("n must be >= 2")
-    grid = Grid(float(params["t"]), n)
-    u0, v0 = float(params["u0"]), float(params["v0"])
-    try:
-        report = solve_stationary(
-            assemble(ActionKind.MCA_SDOF, model, grid, u0, v0, params["scheme"])
-        )
+        report = solve_stationary(assemble(kind, model, grid, u0, v0, args.scheme))
     except SingularSystemError as exc:
-        return _fail_numerical("stationarity", "solve_stationary", str(exc))
-    try:
-        oracle = analytic_sdof(model, u0, v0, grid)
-    except ValueError as exc:
-        raise _UsageError(f"forcing unsupported by the closed-form oracle: {exc}") from exc
-    residuals = el_residuals(ActionKind.MCA_SDOF, model, report.trajectory, ics=(u0, v0))
-    out = _out_dir(params)
-    _write_atomic(out / "sdof_solved.csv", report.trajectory.to_csv())
-    _write_atomic(out / "sdof_oracle.csv", oracle.to_csv())
-    _write_atomic(out / "sdof_residuals.csv", residuals.to_csv())
+        raise _NumericalError("stationarity", "solve_stationary", str(exc)) from exc
+    oracle = _oracle_trajectory(kind, model, u0, v0, grid)
+    residuals = el_residuals(kind, model, report.trajectory, ics=(u0, v0))
+    out = Path(args.output_dir)
+    _write_atomic(out / f"{args.command}_solved.csv", report.trajectory.to_csv())
+    _write_atomic(out / f"{args.command}_oracle.csv", oracle.to_csv())
+    _write_atomic(out / f"{args.command}_residuals.csv", residuals.to_csv())
     err = float(np.max(np.abs(report.trajectory.u - oracle.u)))
     if not math.isfinite(err):
-        return _fail_numerical(
-            "stationarity", "solve_stationary", f"non-finite trajectory (n={n}, h={grid.h:g})"
+        raise _NumericalError(
+            "stationarity", "solve_stationary", f"non-finite trajectory (n={args.n}, h={grid.h:g})"
         )
+    return report, err
+
+
+def cmd_sdof(args: argparse.Namespace) -> int:
+    forcing = None
+    if args.forcing_amplitude != 0.0:
+        forcing = HarmonicForcing(args.forcing_amplitude, args.forcing_omega, args.forcing_phase)
+    model = SdofModel(m=args.m, c=args.c, k=args.k, forcing=forcing)
+    report, err = _solve_against_oracle(args, ActionKind.MCA_SDOF, model, args.u0, args.v0)
     print(
-        f"sdof: scheme={params['scheme']} n={n} sup_error={err:.6e} "
+        f"sdof: scheme={args.scheme} n={args.n} sup_error={err:.6e} "
         f"gradient={report.gradient_norm:.2e} condition={report.condition_estimate:.2e}"
     )
     return EXIT_OK
 
-
-# ---------------------------------------------------------------------------
-# mdof
-
-MDOF_DEFAULTS = {
-    "model": None,
-    "preset": "shear-3",
-    "u0": None,
-    "v0": None,
-    "t": 6.0,
-    "n": 256,
-    "scheme": "reduced",
-    "output_dir": None,
-}
 
 PRESETS = {
     "shear-1": dict(stories=1, mass=1.0, stiffness=1.0, damping=0.2),
@@ -267,58 +205,37 @@ PRESETS = {
 }
 
 
-def _mdof_model(params: dict):
-    if params.get("model"):
+def _mdof_model(args: argparse.Namespace):
+    if args.model:
         try:
-            return mdof_from_json(Path(params["model"]).read_text())
+            return mdof_from_json(Path(args.model).read_text())
         except OSError as exc:
             raise _UsageError(f"cannot read model file: {exc}") from exc
         except ValueError as exc:
             raise _UsageError(f"invalid model document: {exc}") from exc
-    preset = params.get("preset")
-    if preset not in PRESETS:
-        raise _UsageError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-    p = PRESETS[preset]
+    p = PRESETS[args.preset]
     return build_shear_building(p["stories"], p["mass"], p["stiffness"], p["damping"])
 
 
-def _initial_vectors(params: dict, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(u0, v0) of d entries each from the comma lists in params; an absent
-    list defaults to u0 = (1, 0, ..., 0) and v0 = 0."""
+def _initial_vectors(args: argparse.Namespace, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u0, v0) of d entries each; an absent list defaults to
+    u0 = (1, 0, ..., 0) and v0 = 0."""
     out = []
     for name, default in (("u0", [1.0] + [0.0] * (d - 1)), ("v0", [0.0] * d)):
-        vals = np.asarray(default if params[name] is None else _float_list(params[name]))
+        given = getattr(args, name)
+        vals = np.asarray(default if given is None else given)
         if vals.shape != (d,):
             raise _UsageError(f"{name}: expected {d} comma-separated values, got {vals.size}")
         out.append(vals)
     return tuple(out)
 
 
-def cmd_mdof(params: dict) -> int:
-    model = _mdof_model(params)
-    d = model.n_dof
-    u0, v0 = _initial_vectors(params, d)
-    n = int(params["n"])
-    grid = Grid(float(params["t"]), n)
-    try:
-        report = solve_stationary(
-            assemble(ActionKind.MCA_MDOF, model, grid, u0, v0, params["scheme"])
-        )
-    except SingularSystemError as exc:
-        return _fail_numerical("stationarity", "solve_stationary", str(exc))
-    oracle = mdof_oracle(model, u0, v0, grid)
-    residuals = el_residuals(ActionKind.MCA_MDOF, model, report.trajectory, ics=(u0, v0))
-    out = _out_dir(params)
-    _write_atomic(out / "mdof_solved.csv", report.trajectory.to_csv())
-    _write_atomic(out / "mdof_oracle.csv", oracle.to_csv())
-    _write_atomic(out / "mdof_residuals.csv", residuals.to_csv())
-    err = float(np.max(np.abs(report.trajectory.u - oracle.u)))
-    if not math.isfinite(err):
-        return _fail_numerical(
-            "stationarity", "solve_stationary", f"non-finite trajectory (n={n}, h={grid.h:g})"
-        )
+def cmd_mdof(args: argparse.Namespace) -> int:
+    model = _mdof_model(args)
+    u0, v0 = _initial_vectors(args, model.n_dof)
+    report, err = _solve_against_oracle(args, ActionKind.MCA_MDOF, model, u0, v0)
     print(
-        f"mdof: dofs={d} scheme={params['scheme']} n={n} sup_error={err:.6e} "
+        f"mdof: dofs={model.n_dof} scheme={args.scheme} n={args.n} sup_error={err:.6e} "
         f"gradient={report.gradient_norm:.2e}"
     )
     return EXIT_OK
@@ -327,51 +244,29 @@ def cmd_mdof(params: dict) -> int:
 # ---------------------------------------------------------------------------
 # convergence
 
-CONVERGENCE_DEFAULTS = {
-    "kind": "sdof",
-    "m": 1.0,
-    "c": 0.2,
-    "k": 1.0,
-    "u0": None,
-    "v0": None,
-    "t": 10.0,
-    "n": [128, 256, 512],
-    "scheme": "reduced",
-    "preset": "shear-3",
-    "model": None,
-    "output_dir": None,
-}
 
-
-def cmd_convergence(params: dict) -> int:
-    n_list = [int(n) for n in params["n"]]
-    if params["kind"] == "sdof":
-        model = _sdof_model({**SDOF_DEFAULTS, **{k: params[k] for k in ("m", "c", "k")}})
-        u0, v0 = (float(x[0]) for x in _initial_vectors(params, 1))
+def cmd_convergence(args: argparse.Namespace) -> int:
+    if args.kind == "sdof":
+        model = SdofModel(m=args.m, c=args.c, k=args.k)
+        u0, v0 = (float(x[0]) for x in _initial_vectors(args, 1))
         kind = ActionKind.MCA_SDOF
-    elif params["kind"] == "mdof":
-        model = _mdof_model(params)
-        u0, v0 = _initial_vectors(params, model.n_dof)
-        kind = ActionKind.MCA_MDOF
     else:
-        raise _UsageError("convergence kind must be 'sdof' or 'mdof'")
+        model = _mdof_model(args)
+        u0, v0 = _initial_vectors(args, model.n_dof)
+        kind = ActionKind.MCA_MDOF
     try:
-        table = convergence_study(
-            kind, model, u0, v0, float(params["t"]), n_list, params["scheme"]
-        )
+        table = convergence_study(kind, model, u0, v0, args.t, args.n, args.scheme)
     except SingularSystemError as exc:
-        return _fail_numerical("stationarity", "convergence_study", str(exc))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    _write_atomic(_out_dir(params) / "convergence.csv", table.to_csv())
+        raise _NumericalError("stationarity", "convergence_study", str(exc)) from exc
+    _write_atomic(Path(args.output_dir) / "convergence.csv", table.to_csv())
     errs = [row.err_u_sup for row in table.rows]
     if any(not math.isfinite(e) for e in errs):
-        return _fail_numerical(
-            "stationarity", "convergence_study", f"non-finite error (n_list={n_list})"
+        raise _NumericalError(
+            "stationarity", "convergence_study", f"non-finite error (n_list={args.n})"
         )
     orders = [row.order_u for row in table.rows if row.order_u is not None]
     print(
-        f"convergence: kind={params['kind']} n={n_list} "
+        f"convergence: kind={args.kind} n={args.n} "
         f"final_error={errs[-1]:.6e} orders={['%.2f' % o for o in orders]}"
     )
     return EXIT_OK
@@ -379,18 +274,6 @@ def cmd_convergence(params: dict) -> int:
 
 # ---------------------------------------------------------------------------
 # actions
-
-ACTIONS_DEFAULTS = {
-    "kind": "tonti",
-    "m": 1.0,
-    "c": 0.2,
-    "k": 1.0,
-    "u0": 1.0,
-    "v0": 0.0,
-    "t": 10.0,
-    "n": 256,
-    "output_dir": None,
-}
 
 ACTION_KIND_NAMES = {
     "hamilton": ActionKind.HAMILTON,
@@ -401,18 +284,13 @@ ACTION_KIND_NAMES = {
 }
 
 
-def cmd_actions(params: dict) -> int:
-    name = str(params["kind"]).lower()
-    if name not in ACTION_KIND_NAMES:
-        raise _UsageError(f"unknown action kind {name!r}; choose from {sorted(ACTION_KIND_NAMES)}")
-    kind = ACTION_KIND_NAMES[name]
-    sdof = _sdof_model({**SDOF_DEFAULTS, **{k: params[k] for k in ("m", "c", "k")}})
-    u0, v0 = float(params["u0"]), float(params["v0"])
-    grid = Grid(float(params["t"]), int(params["n"]))
+def cmd_actions(args: argparse.Namespace) -> int:
+    kind = ACTION_KIND_NAMES[args.kind]
+    sdof = SdofModel(m=args.m, c=args.c, k=args.k)
+    u0, v0 = args.u0, args.v0
+    grid = Grid(args.t, args.n)
     traj = analytic_sdof(sdof, u0, v0, grid)
     if kind is ActionKind.MCA_MDOF:
-        from .models import sdof_as_mdof
-
         model = sdof_as_mdof(sdof)
         traj_in = Trajectory(grid, traj.u.reshape(-1, 1), traj.J.reshape(-1, 1))
         ics = (np.array([u0]), np.array([v0]))
@@ -438,7 +316,7 @@ def cmd_actions(params: dict) -> int:
         )
     for iname, ival in residuals.ic_residuals.items():
         print(f"actions: ic residual {iname}: {ival:.10g}")
-    out = _out_dir(params)
+    out = Path(args.output_dir)
     _write_atomic(out / "actions_values.csv", "\n".join(value_rows) + "\n")
     _write_atomic(out / "actions_residuals.csv", residuals.to_csv())
     return EXIT_OK
@@ -450,7 +328,28 @@ def cmd_actions(params: dict) -> int:
 
 def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--config", help="JSON config file; flags override its keys")
-    sub.add_argument("--output-dir", dest="output_dir", help=f"default ${OUTPUT_DIR_ENV} or '.'")
+    sub.add_argument("--output-dir", default=os.environ.get(OUTPUT_DIR_ENV, "."),
+                     help=f"default ${OUTPUT_DIR_ENV} or '.'")
+
+
+def _add_oscillator(sub: argparse.ArgumentParser):
+    sub.add_argument("--m", type=float, default=1.0)
+    sub.add_argument("--c", type=float, default=0.2)
+    sub.add_argument("--k", type=float, default=1.0)
+
+
+def _add_initial_values(sub: argparse.ArgumentParser, convert, u0=None, v0=None):
+    sub.add_argument("--u0", type=convert, default=u0, help="initial displacement(s)")
+    sub.add_argument("--v0", type=convert, default=v0, help="initial velocity(ies)")
+
+
+def _add_model(sub: argparse.ArgumentParser):
+    sub.add_argument("--model", help="JSON model document")
+    sub.add_argument("--preset", choices=sorted(PRESETS), default="shear-3")
+
+
+def _add_scheme(sub: argparse.ArgumentParser):
+    sub.add_argument("--scheme", choices=["reduced", "direct"], default="reduced")
 
 
 def build_parser() -> _Parser:
@@ -465,62 +364,54 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("verify-identities", help="integration-by-parts identity sweep")
-    p.add_argument("--alpha", type=_float_list, help="comma list of fractional orders")
-    p.add_argument("--n", type=_int_list, help="comma list of grid sizes")
-    p.add_argument("--kind", type=lambda s: s.split(","), help="comma list of identity kinds")
-    p.add_argument("--t", type=float, help="interval length")
-    p.add_argument("--seed", type=int, help="seed for the test-signal family")
-    p.add_argument("--tamper", action="store_const", const=True, help=argparse.SUPPRESS)
+    p.add_argument("--alpha", type=_float_list, default=[0.25, 0.5, 0.75],
+                   help="comma list of fractional orders")
+    p.add_argument("--kind", type=_identity_kinds, default=list(IdentityKind),
+                   help="comma list of identity kinds")
+    p.add_argument("--seed", type=int, default=2024, help="seed for the test-signal family")
+    p.add_argument("--t", type=float, default=1.0, help="interval length")
+    p.add_argument("--n", type=_int_list, default=[64, 128, 256], help="comma list of grid sizes")
     _add_common(p)
 
     p = subs.add_parser("sdof", help="solve the damped oscillator by stationarity")
-    for flag in ("m", "c", "k", "u0", "v0", "t"):
-        p.add_argument(f"--{flag}", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--scheme", choices=["reduced", "direct"])
-    p.add_argument("--forcing-amplitude", dest="forcing_amplitude", type=float)
-    p.add_argument("--forcing-omega", dest="forcing_omega", type=float)
-    p.add_argument("--forcing-phase", dest="forcing_phase", type=float)
+    _add_oscillator(p)
+    _add_initial_values(p, float, 1.0, 0.0)
+    _add_scheme(p)
+    p.add_argument("--forcing-amplitude", type=float, default=0.0)
+    p.add_argument("--forcing-omega", type=float, default=0.0)
+    p.add_argument("--forcing-phase", type=float, default=0.0)
+    p.add_argument("--t", type=float, default=10.0)
+    p.add_argument("--n", type=int, default=512)
     _add_common(p)
 
     p = subs.add_parser("mdof", help="solve a multi-dof model by stationarity")
-    p.add_argument("--model", help="JSON model document")
-    p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--u0", help="comma list of initial displacements")
-    p.add_argument("--v0", help="comma list of initial velocities")
-    p.add_argument("--t", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--scheme", choices=["reduced", "direct"])
+    _add_model(p)
+    _add_initial_values(p, _float_list)
+    _add_scheme(p)
+    p.add_argument("--t", type=float, default=6.0)
+    p.add_argument("--n", type=int, default=256)
     _add_common(p)
 
     p = subs.add_parser("convergence", help="grid-refinement study against the oracle")
-    p.add_argument("--kind", choices=["sdof", "mdof"])
-    for flag in ("m", "c", "k", "t"):
-        p.add_argument(f"--{flag}", type=float)
-    p.add_argument("--u0")
-    p.add_argument("--v0")
-    p.add_argument("--n", type=_int_list, help="comma list of grid sizes (>= 3)")
-    p.add_argument("--scheme", choices=["reduced", "direct"])
-    p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--model")
+    p.add_argument("--kind", choices=["sdof", "mdof"], default="sdof")
+    _add_oscillator(p)
+    _add_model(p)
+    _add_initial_values(p, _float_list)
+    _add_scheme(p)
+    p.add_argument("--t", type=float, default=10.0)
+    p.add_argument("--n", type=_int_list, default=[128, 256, 512],
+                   help="comma list of grid sizes (>= 3)")
     _add_common(p)
 
     p = subs.add_parser("actions", help="evaluate a functional and its residuals")
-    p.add_argument("--kind", help="hamilton|gurtin|tonti|mca-sdof|mca-mdof")
-    for flag in ("m", "c", "k", "u0", "v0", "t"):
-        p.add_argument(f"--{flag}", type=float)
-    p.add_argument("--n", type=int)
+    p.add_argument("--kind", type=str.lower, choices=ACTION_KIND_NAMES, default="tonti")
+    _add_oscillator(p)
+    _add_initial_values(p, float, 1.0, 0.0)
+    p.add_argument("--t", type=float, default=10.0)
+    p.add_argument("--n", type=int, default=256)
     _add_common(p)
     return parser
 
-
-_DEFAULTS = {
-    "verify-identities": IDENTITY_DEFAULTS,
-    "sdof": SDOF_DEFAULTS,
-    "mdof": MDOF_DEFAULTS,
-    "convergence": CONVERGENCE_DEFAULTS,
-    "actions": ACTIONS_DEFAULTS,
-}
 
 _HANDLERS = {
     "verify-identities": cmd_verify_identities,
@@ -532,19 +423,19 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        defaults = _DEFAULTS[args.command]
-        dests = set(defaults)
-        params = _merge_config(args, dests, defaults)
-        return _HANDLERS[args.command](params)
-    except _UsageError as exc:
+        if args.config:  # after the subcommand argv[0], ahead of the flags, which win
+            args = parser.parse_args(argv[:1] + _config_flags(args) + argv[1:])
+        return _HANDLERS[args.command](args)
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except _NumericalError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

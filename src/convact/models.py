@@ -39,11 +39,24 @@ __all__ = [
 @dataclass(frozen=True)
 class HarmonicForcing:
     """Forcing amplitude * sin(omega * tau + phase); amplitude is a scalar for
-    single-dof models and a per-dof vector otherwise."""
+    single-dof models and a per-dof vector otherwise. Each field must be
+    finite; they are stored as floats (a vector amplitude as a float array)."""
 
     amplitude: float | np.ndarray
     omega: float
     phase: float = 0.0
+
+    def __post_init__(self):
+        for name in ("amplitude", "omega", "phase"):
+            value = getattr(self, name)
+            try:
+                arr = np.asarray(value, dtype=float)
+                ok = bool(np.all(np.isfinite(arr))) and (arr.ndim == 0 or name == "amplitude")
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise ValueError(f"{name} must be finite and numeric, got {value!r}")
+            object.__setattr__(self, name, arr if arr.ndim else float(arr))
 
     def __call__(self, tau):
         return np.asarray(self.amplitude) * np.sin(self.omega * np.asarray(tau) + self.phase)
@@ -73,6 +86,9 @@ class SdofModel:
     j_hat_0: float = 0.0
 
     def __post_init__(self):
+        for name in ("m", "c", "k", "j_hat_0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.m > 0.0):
             raise ValueError(f"mass must be > 0, got {self.m}")
         if not (self.k > 0.0):
@@ -460,12 +476,8 @@ def _forcing_from_doc(doc) -> HarmonicForcing | None:
         if extra:
             raise ValueError(f"forcing: unknown keys {sorted(extra)}")
         try:
-            return HarmonicForcing(
-                amplitude=np.asarray(doc["amplitude"], dtype=float),
-                omega=float(doc["omega"]),
-                phase=float(doc.get("phase", 0.0)),
-            )
-        except (KeyError, TypeError) as exc:
+            return HarmonicForcing(doc["amplitude"], doc["omega"], doc.get("phase", 0.0))
+        except (KeyError, ValueError) as exc:
             raise ValueError(f"forcing: {exc}") from exc
     raise ValueError(f"forcing.kind: unknown preset {kind!r}")
 

@@ -1,9 +1,12 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from convact._discrete import prefix_conv_matrices
+from convact._discrete import increment_matrix, prefix_conv_matrices
+from convact._stencils import deriv1, deriv1_matrix, deriv2
 from convact.actions import (
     ActionKind,
     action_value,
@@ -22,6 +25,7 @@ from convact.models import (
     Trajectory,
     analytic_sdof,
     build_shear_building,
+    mdof_oracle,
 )
 from convact.stationarity import assemble, solve_stationary
 
@@ -242,6 +246,44 @@ def test_prefix_conv_matrices_match_prefix_loop(n):
     w_const, w_ramp = prefix_conv_matrices(g)
     assert w_const.tobytes() == ref_const.tobytes()
     assert w_ramp.tobytes() == ref_ramp.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 64, 512])
+def test_operator_matrices_match_entry_loops(n):
+    # reference: the entry-by-entry fills the stencil forms replaced
+    h = 3.0 / n
+    ref_d1 = np.zeros((n + 1, n + 1))
+    for k in range(1, n):
+        ref_d1[k, k - 1] = -1.0 / (2.0 * h)
+        ref_d1[k, k + 1] = 1.0 / (2.0 * h)
+    ref_d1[0, 0], ref_d1[0, 1], ref_d1[0, 2] = -3.0 / (2 * h), 4.0 / (2 * h), -1.0 / (2 * h)
+    ref_d1[n, n], ref_d1[n, n - 1], ref_d1[n, n - 2] = 3.0 / (2 * h), -4.0 / (2 * h), 1.0 / (2 * h)
+    ref_inc = np.zeros((n, n + 1))
+    ref_inc[np.arange(n), np.arange(n)] = -1.0
+    ref_inc[np.arange(n), np.arange(n) + 1] = 1.0
+    assert deriv1_matrix(n, h).tobytes() == ref_d1.tobytes()
+    assert increment_matrix(Grid(3.0, n)).tobytes() == ref_inc.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 9, 64, 512])
+def test_stencils_act_columnwise_on_histories(n):
+    # el_residuals differentiates (n_nodes, n_dof) histories in one call;
+    # reference: one call per column, stacked
+    g = Grid(4.0, n)
+    model = build_shear_building(3, 1.0, 10.0, 0.4)
+    traj = mdof_oracle(model, [1.0, 0.0, 0.0], [0.0, 0.2, 0.0], g)
+    for hist in (traj.u, traj.J):
+        cols = range(hist.shape[1])
+        ref_d1 = np.column_stack([deriv1(hist[:, a], g.h) for a in cols])
+        ref_d2 = np.column_stack([deriv2(hist[:, a], g.h) for a in cols])
+        assert deriv1(hist, g.h).tobytes() == ref_d1.tobytes()
+        assert deriv2(hist, g.h).tobytes() == ref_d2.tobytes()
+
+
+def test_import_leaves_out_scipy_interpolate():
+    code = "import sys, convact; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
+from convact import cli
 from convact.cli import main
+from convact.identities import run_identity_sweep
 from convact.models import build_shear_building, mdof_to_json
 
 
@@ -32,8 +36,14 @@ def test_verify_identities_alpha_one_complementary_rejected(tmp_path):
     assert code == 1
 
 
-def test_verify_identities_tamper_exits_2(tmp_path, capsys):
-    code = run(tmp_path, "verify-identities", "--n", "32,64", "--tamper")
+def test_verify_identities_tamper_exits_2(tmp_path, capsys, monkeypatch):
+    def sweep_with_nan(*args):
+        rows = run_identity_sweep(*args)
+        broken = replace(rows[0].report, lhs=math.nan, residual=math.nan)
+        return [replace(rows[0], report=broken), *rows[1:]]
+
+    monkeypatch.setattr(cli, "run_identity_sweep", sweep_with_nan)
+    code = run(tmp_path, "verify-identities", "--n", "32,64")
     assert code == 2
     err = capsys.readouterr().err
     assert "identities" in err and "non-finite" in err
@@ -209,3 +219,83 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
 
 def test_usage_error_exit_code():
     assert main(["sdof", "--n", "notanumber"]) == 1
+
+
+def _outcome(tmp_path, name, capsys, *argv):
+    """Exit code, stdout, stderr and every CSV written (the convergence table
+    without its wall_ms column) of one run."""
+    out = tmp_path / name
+    code = main([*argv, "--output-dir", str(out)])
+    std = capsys.readouterr()
+    files = {}
+    for path in sorted(out.glob("*.csv")):
+        lines = path.read_text().splitlines()
+        files[path.name] = [line.rsplit(",", 1)[0] for line in lines] if path.name == "convergence.csv" else lines
+    return code, std.out, std.err, files
+
+
+# (subcommand, config document, the same values as flags, shared flags that
+# must override the config, expected exit code)
+CONFIG_PARITY = {
+    "mdof-u0-list": ("mdof", {"u0": [0.5, 0.2, 0.0], "n": 999},
+                     ["--u0", "0.5,0.2,0.0"], ["--n", "32", "--t", "2"], 0),
+    "mdof-u0-comma-string": ("mdof", {"u0": "0.5,0.2,0.0", "v0": [0, 0.1, 0]},
+                             ["--u0", "0.5,0.2,0.0", "--v0", "0,0.1,0"], ["--n", "32"], 0),
+    "convergence-n-comma-string": ("convergence", {"n": "16,32,64", "t": 9.0},
+                                   ["--n", "16,32,64"], ["--t", "3"], 0),
+    "convergence-n-list": ("convergence", {"n": [16, 32, 64], "kind": "mdof", "scheme": None},
+                           ["--n", "16,32,64", "--kind", "mdof"], ["--t", "3"], 0),
+    "identities-kind-scalar": ("verify-identities", {"kind": "CONV_LEFT", "n": [8, 16]},
+                               ["--kind", "CONV_LEFT"], ["--n", "32,64"], 0),
+    "identities-alpha-scalar": ("verify-identities", {"alpha": 0.5, "seed": 7},
+                                ["--alpha", "0.5", "--seed", "7"], ["--n", "32,64"], 0),
+    "sdof-n-float": ("sdof", {"n": 64.7}, ["--n", "64.7"], [], 1),
+    "sdof-scheme-bogus": ("sdof", {"scheme": "bogus"}, ["--scheme", "bogus"], [], 1),
+    "sdof-null-means-default": ("sdof", {"c": None, "m": 1.5, "n": 16},
+                                ["--m", "1.5"], ["--n", "64"], 0),
+    "actions-kind-and-scalars": ("actions", {"kind": "GURTIN", "u0": 0.7, "n": 999},
+                                 ["--kind", "GURTIN", "--u0", "0.7"], ["--n", "64"], 0),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_PARITY.values(), ids=CONFIG_PARITY.keys())
+def test_config_values_parse_like_flags(tmp_path, capsys, case):
+    command, doc, flags, override, expected = case
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    via_config = _outcome(tmp_path, "config", capsys, command, "--config", str(cfg), *override)
+    via_flags = _outcome(tmp_path, "flags", capsys, command, *flags, *override)
+    assert via_config[0] == expected
+    assert via_config == via_flags
+    if expected == 0:
+        assert via_config[3]
+
+
+def test_config_unknown_key_is_named(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 64, "forcing-amplitude": 1.0}))
+    assert main(["sdof", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 1
+    assert "forcing-amplitude" in capsys.readouterr().err
+    assert not (tmp_path / "sdof_solved.csv").exists()
+
+
+def test_sdof_at_undamped_resonance_uses_exact_oracle(tmp_path, capsys):
+    argv = ["sdof", "--c", "0", "--forcing-amplitude", "1", "--forcing-omega", "1", "--n", "256"]
+    assert run(tmp_path, *argv) == 0
+    err = float(capsys.readouterr().out.split("sup_error=")[1].split()[0])
+    assert err < 5.0 * (10.0 / 256) ** 2
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["--c", "nan"], "c"),
+        (["--c", "inf"], "c"),
+        (["--m", "inf"], "m"),
+        (["--forcing-amplitude", "1", "--forcing-omega", "nan"], "omega"),
+        (["--forcing-amplitude", "inf", "--forcing-omega", "1"], "amplitude"),
+    ],
+)
+def test_sdof_rejects_non_finite_inputs(tmp_path, capsys, argv, field):
+    assert run(tmp_path, "sdof", "--n", "32", *argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field} must be finite")

@@ -39,6 +39,14 @@ def test_sdof_model_validation():
         SdofModel(m=1.0, c=0.1, k=0.0)
     with pytest.raises(ValueError):
         SdofModel(m=1.0, c=-0.1, k=1.0)
+    for field, value in [("m", math.inf), ("c", math.nan), ("c", math.inf),
+                         ("k", math.inf), ("j_hat_0", math.nan)]:
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SdofModel(**{"m": 1.0, "c": 0.1, "k": 1.0, field: value})
+    for args, field in [((math.nan, 1.0), "amplitude"), ((1.0, math.inf), "omega"),
+                        ((1.0, 1.0, math.nan), "phase"), (("big", 1.0), "amplitude")]:
+        with pytest.raises(ValueError, match=f"^{field} must be finite and numeric"):
+            HarmonicForcing(*args)
     assert DAMPED.a * DAMPED.k == pytest.approx(1.0, rel=1e-15)
 
 
@@ -302,6 +310,9 @@ def test_mdof_model_validation_messages():
         MdofModel(M=eye, C=eye, A_blocks=(eye,), B=eye, forcing=lambda tau: np.ones(2))
     with pytest.raises(ValueError, match="forcing.amplitude"):
         MdofModel(M=eye, C=eye, A_blocks=(eye,), B=eye, forcing=HarmonicForcing(np.ones(3), 1.0))
+    with pytest.raises(ValueError, match="amplitude must be finite"):
+        MdofModel(M=eye, C=eye, A_blocks=(eye,), B=eye,
+                  forcing=HarmonicForcing(np.array([1.0, math.nan]), 1.0))
     scalar = MdofModel(M=eye, C=eye, A_blocks=(eye,), B=eye, forcing=HarmonicForcing(0.5, 1.0))
     assert scalar.forcing_history(np.array([0.0, 1.0])).shape == (2, 2)
 
@@ -340,6 +351,16 @@ def test_mdof_json_rejects_bad_documents():
     doc["forcing"] = {"kind": "harmonic", "amplitude": [1.0, 0.0, 0.0], "omega": 2.0}
     with pytest.raises(ValueError, match=r"forcing.amplitude: shape \(3,\)"):
         mdof_from_json(_json.dumps(doc))
+    for forcing, field in [
+        ({"amplitude": [1.0, 0.0], "omega": math.nan}, "omega"),
+        ({"amplitude": [1.0, 0.0], "omega": 2.0, "phase": math.inf}, "phase"),
+        ({"amplitude": ["x", 0.0], "omega": 2.0}, "amplitude"),
+        ({"amplitude": [1.0, 0.0], "omega": "fast"}, "omega"),
+    ]:
+        doc = _json.loads(good)
+        doc["forcing"] = {"kind": "harmonic", **forcing}
+        with pytest.raises(ValueError, match=f"^forcing: {field} must be finite and numeric"):
+            mdof_from_json(_json.dumps(doc))
     doc = _json.loads(good)
     doc["extra"] = 1
     with pytest.raises(ValueError, match="unknown keys"):
