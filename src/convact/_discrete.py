@@ -27,10 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import hankel
 
 from ._stencils import deriv1_matrix
-from .fracops import gl_derivative_matrix
+from .fracops import gl_weights
 from .grid import Grid
 from .models import MdofModel, SdofModel
 
@@ -121,35 +122,79 @@ class DofLayout:
         """Indices of every dof at nodes 1..n, in packing order."""
         return np.setdiff1d(np.arange(self.size), self.node0_indices())
 
+    def fold_order(self) -> np.ndarray:
+        """Fold order of the free values: node 1, n, 2, n-1, ..., with all
+        components of a node side by side. Entry p is the position, in
+        `free_indices()` order, of the value placed p-th.
+
+        The mixed pairings couple node i with its neighbours and with the
+        nodes near n - i (the reflected cells), so in this order every
+        coupling lies a few places off the diagonal."""
+        n = self.n_nodes - 1
+        k = np.arange(n)
+        nodes = np.where(k % 2 == 0, k // 2 + 1, n - k // 2)
+        comps = np.arange(self.n_dof + self.n_el)
+        return (comps[None, :] * n + (nodes - 1)[:, None]).ravel()
+
 
 def _symmetrize(q: np.ndarray) -> np.ndarray:
     return q + q.T
 
 
+def _increments(n: int) -> sparse.csr_array:
+    """Sparse cell increments: (L x)_m = x_{m+1} - x_m for cells m = 0..n-1."""
+    return sparse.diags_array([-1.0, 1.0], offsets=[0, 1], shape=(n, n + 1), format="csr")
+
+
 def increment_matrix(grid: Grid) -> np.ndarray:
-    """Cell increments: (L x)_m = x_{m+1} - x_m for cells m = 0..n-1."""
-    return np.diff(np.eye(grid.n_nodes), axis=0)
+    """Cell increments as a dense matrix: (L x)_m = x_{m+1} - x_m."""
+    return _increments(grid.n_steps).toarray()
 
 
-def rate_pair_matrix(grid: Grid) -> np.ndarray:
+def _anti_diagonal(values: np.ndarray, rows: int, cols: int, shift: int) -> sparse.coo_array:
+    """values[i] at (i, shift - i) for i = 0..len(values) - 1."""
+    i = np.arange(len(values))
+    return sparse.coo_array((values, (i, shift - i)), shape=(rows, cols))
+
+
+def rate_pair_matrix(grid: Grid) -> sparse.csr_array:
     """Exact [x' * y'](t) for piecewise-linear x, y as a nodal quadratic form:
     (1/h) sum_cells dx_m dy_{n-1-m}."""
     n = grid.n_steps
-    lmat = increment_matrix(grid)
-    pi = np.zeros((n, n))
-    pi[np.arange(n), n - 1 - np.arange(n)] = 1.0 / grid.h
-    return lmat.T @ pi @ lmat
+    lmat = _increments(n)
+    pi = _anti_diagonal(np.full(n, 1.0 / grid.h), n, n, n - 1)
+    return (lmat.T @ pi @ lmat).tocsr()
 
 
-def rate_value_pair_matrix(grid: Grid) -> np.ndarray:
+def rate_value_pair_matrix(grid: Grid) -> sparse.csr_array:
     """Exact [x' * y](t) for piecewise-linear x, y as a nodal quadratic form:
     sum_cells dx_m * (y at the midpoint of the reflected cell)."""
     n = grid.n_steps
-    lmat = increment_matrix(grid)
-    emat = np.zeros((n, n + 1))
-    emat[np.arange(n), n - 1 - np.arange(n)] = 0.5
-    emat[np.arange(n), n - np.arange(n)] = 0.5
-    return lmat.T @ emat
+    half = np.full(n, 0.5)
+    emat = _anti_diagonal(half, n, n + 1, n - 1) + _anti_diagonal(half, n, n + 1, n)
+    return (_increments(n).T @ emat).tocsr()
+
+
+def gl_semi_pair_matrix(grid: Grid) -> sparse.csr_array:
+    """[G x * G y](t) for the half-order GL derivative G = h^(-1/2) T(w),
+    paired by the trapezoid anti-diagonal W: G^T W G in closed form,
+
+        S = Pi - 1/2 (e_0 v^T + v e_0^T),   v = (w_n, ..., w_0),
+
+    with Pi = +1 at (i, n - i) and -1 at (i, n - 1 - i). The half-order
+    weights w are the coefficients of (1 - z)^(1/2), so their convolution
+    square is the first difference (1, -1, 0, ...), and a Toeplitz matrix is
+    persymmetric; h^(-1/2) squared cancels W's factor h. All of the GL memory
+    sits in row and column 0."""
+    n = grid.n_steps
+    v = gl_weights(0.5, n + 1).w[::-1]
+    pi = _anti_diagonal(np.ones(n + 1), n + 1, n + 1, n) - _anti_diagonal(
+        np.ones(n), n + 1, n + 1, n - 1
+    )
+    corner = sparse.coo_array(
+        (0.5 * v, (np.zeros(n + 1, dtype=int), np.arange(n + 1))), shape=(n + 1, n + 1)
+    )
+    return (pi - corner - corner.T).tocsr()
 
 
 def reflected_load_weights(f_vals: np.ndarray, h: float) -> np.ndarray:
@@ -189,7 +234,7 @@ def rate_value_pair_end(x: np.ndarray, y: np.ndarray, h: float) -> float:
 
 def build_mca_system(
     model: MdofModel, grid: Grid, scheme: str = "reduced"
-) -> tuple[np.ndarray, np.ndarray, DofLayout]:
+) -> tuple[sparse.csr_array, np.ndarray, DofLayout]:
     """K, r of the mixed convolved action over all nodal values of (u, J).
 
     Terms of the functional, with * the end-time convolution pairing:
@@ -205,10 +250,11 @@ def build_mca_system(
         K = sym(P_R (x) R + P_S (x) S + P_S (x) E),
         P_R = [[M/2, 0], [0, -A/2]],   P_S = [[C/2, 0], [B^T, 0]],
     over the (u, J) variable blocks, with R the rate pairing, S the scheme's
-    semi-derivative pairing and E = e_0 e_n^T the reduced scheme's corner
-    x(0) y(t) (absent in the direct scheme). Only the blocks whose model
-    coefficient is nonzero are formed, and E adds P_S at the (node 0, node n)
-    entry of each block.
+    semi-derivative pairing (`rate_value_pair_matrix` or
+    `gl_semi_pair_matrix`) and E = e_0 e_n^T the reduced scheme's corner
+    x(0) y(t) (absent in the direct scheme). Every time operator is sparse,
+    so K is a sparse CSR matrix with O(n) nonzeros; its entries sum their
+    products in term order, as a dense block-by-block sum would.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
@@ -220,27 +266,20 @@ def build_mca_system(
     p_rate[u, u], p_rate[j, j] = 0.5 * model.M, -0.5 * model.A
     p_semi = np.zeros((d + e, d + e))
     p_semi[u, u], p_semi[j, u] = 0.5 * model.C, model.B.T
-    if scheme == "reduced":
-        semi = rate_value_pair_matrix(grid)
-    else:
-        gmat = gl_derivative_matrix(grid.n_steps, grid.h, 0.5)
-        semi = gmat.T @ conv_end_matrix(grid) @ gmat
 
-    q = np.zeros((layout.size, layout.size))
-    blocks = q.reshape(d + e, n1, d + e, n1)  # blocks[a, :, b, :] is block (a, b)
-    for coef, op in ((p_rate, rate_pair_matrix(grid)), (p_semi, semi)):
-        # term by term into +0.0: each entry sums its products in term order
-        # and entries that only ever receive zeros stay +0.0
-        a, b = np.nonzero(coef)
-        blocks[a, :, b, :] += coef[a, b, None, None] * op
+    semi = rate_value_pair_matrix(grid) if scheme == "reduced" else gl_semi_pair_matrix(grid)
+    q = sparse.kron(p_rate, rate_pair_matrix(grid)) + sparse.kron(p_semi, semi)
     if scheme == "reduced":
-        blocks[:, 0, :, -1] += p_semi  # P_S (x) E with E = e_0 e_n^T
+        corner = sparse.coo_array(([1.0], ([0], [n1 - 1])), shape=(n1, n1))
+        q = q + sparse.kron(p_semi, corner)
+    k_full = _symmetrize(q).tocsr()
+    k_full.eliminate_zeros()  # drops the -0.0 products of zero coefficients
 
     r = np.zeros(layout.size)
     f_hist = model.forcing_history(grid.nodes())
     r[: d * n1] -= reflected_load_weights(f_hist, grid.h).T.ravel()
     r[n1 - 1 : d * n1 : n1] -= model.j_hat_0  # end node of each u component
-    return _symmetrize(q), r, layout
+    return k_full, r, layout
 
 
 def build_hamilton_system(

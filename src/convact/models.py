@@ -154,6 +154,8 @@ class MdofModel:
         j0 = np.zeros(n_dof) if self.j_hat_0 is None else np.asarray(self.j_hat_0, dtype=float)
         if j0.shape != (n_dof,):
             raise ValueError(f"j_hat_0: shape {j0.shape}, expected ({n_dof},)")
+        if not np.all(np.isfinite(j0)):
+            raise ValueError(f"j_hat_0 must be finite, got {j0.tolist()}")
         if self.forcing is not None:
             if not isinstance(self.forcing, HarmonicForcing):
                 kind = type(self.forcing).__name__
@@ -255,6 +257,9 @@ def mdof_mixed_initials(model: MdofModel, u0, v0) -> tuple[np.ndarray, np.ndarra
     """Vector counterpart: B J(0) = j_hat_0 - M v0 - C u0 (B square here)."""
     u0 = np.asarray(u0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
+    for name, vec in (("u0", u0), ("v0", v0)):
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"{name} must be finite, got {vec.tolist()}")
     rhs = model.j_hat_0 - model.M @ v0 - model.C @ u0
     if model.B.shape[0] != model.B.shape[1]:
         raise ValueError("mixed initials need a square equilibrium matrix B")

@@ -1,0 +1,86 @@
+"""Dense references for the sparse mixed-action path: the block-add builder
+of K, r and the symmetric indefinite (Bunch-Kaufman) solve with its LAPACK
+condition estimate, as the library ran them before it went sparse. Tests
+compare the sparse assembly and the banded solve against these on small
+grids."""
+
+import math
+
+import numpy as np
+from scipy.linalg import lapack
+
+from convact._discrete import DofLayout, conv_end_matrix, reflected_load_weights
+from convact.fracops import gl_derivative_matrix
+
+
+def dense_rate_pair_matrix(grid):
+    n = grid.n_steps
+    lmat = np.diff(np.eye(n + 1), axis=0)
+    pi = np.zeros((n, n))
+    pi[np.arange(n), n - 1 - np.arange(n)] = 1.0 / grid.h
+    return lmat.T @ pi @ lmat
+
+
+def dense_rate_value_pair_matrix(grid):
+    n = grid.n_steps
+    lmat = np.diff(np.eye(n + 1), axis=0)
+    emat = np.zeros((n, n + 1))
+    emat[np.arange(n), n - 1 - np.arange(n)] = 0.5
+    emat[np.arange(n), n - np.arange(n)] = 0.5
+    return lmat.T @ emat
+
+
+def dense_gl_semi_pair_matrix(grid):
+    """G^T W G with the dense GL derivative matrix and trapezoid anti-diagonal."""
+    gmat = gl_derivative_matrix(grid.n_steps, grid.h, 0.5)
+    return gmat.T @ conv_end_matrix(grid) @ gmat
+
+
+def dense_mca_system(model, grid, scheme="reduced"):
+    """K, r over all nodal values, K as a dense block-by-block sum."""
+    n1 = grid.n_nodes
+    d, e = model.n_dof, model.n_el
+    layout = DofLayout(n1, d, e)
+    u, j = slice(0, d), slice(d, d + e)
+    p_rate = np.zeros((d + e, d + e))
+    p_rate[u, u], p_rate[j, j] = 0.5 * model.M, -0.5 * model.A
+    p_semi = np.zeros((d + e, d + e))
+    p_semi[u, u], p_semi[j, u] = 0.5 * model.C, model.B.T
+    if scheme == "reduced":
+        semi = dense_rate_value_pair_matrix(grid)
+    else:
+        semi = dense_gl_semi_pair_matrix(grid)
+    q = np.zeros((layout.size, layout.size))
+    blocks = q.reshape(d + e, n1, d + e, n1)
+    for coef, op in ((p_rate, dense_rate_pair_matrix(grid)), (p_semi, semi)):
+        a, b = np.nonzero(coef)
+        blocks[a, :, b, :] += coef[a, b, None, None] * op
+    if scheme == "reduced":
+        blocks[:, 0, :, -1] += p_semi
+    r = np.zeros(layout.size)
+    f_hist = model.forcing_history(grid.nodes())
+    r[: d * n1] -= reflected_load_weights(f_hist, grid.h).T.ravel()
+    r[n1 - 1 : d * n1 : n1] -= model.j_hat_0
+    return q + q.T, r, layout
+
+
+def dense_free_system(model, grid, node0, scheme="reduced"):
+    """K, r of the free values after node-0 elimination, all dense."""
+    k_full, r_full, layout = dense_mca_system(model, grid, scheme)
+    free, fixed = layout.free_indices(), layout.node0_indices()
+    K = k_full[np.ix_(free, free)]
+    r = r_full[free] + k_full[np.ix_(free, fixed)] @ node0
+    return K, r
+
+
+def dense_solve(K, r):
+    """d with K d = -r by dsytrf/dsytrs, and the dsycon condition estimate."""
+    K = np.asarray(K, dtype=float, order="F")
+    anorm = float(np.max(np.sum(np.abs(K), axis=0)))
+    ldu, ipiv, info = lapack.dsytrf(K, lower=0)
+    assert info == 0
+    rcond, info = lapack.dsycon(ldu, ipiv, anorm, lower=0)
+    assert info == 0
+    d, info = lapack.dsytrs(ldu, ipiv, -r, lower=0)
+    assert info == 0
+    return d, (math.inf if rcond == 0.0 else 1.0 / rcond)

@@ -294,8 +294,40 @@ def test_sdof_at_undamped_resonance_uses_exact_oracle(tmp_path, capsys):
         (["--m", "inf"], "m"),
         (["--forcing-amplitude", "1", "--forcing-omega", "nan"], "omega"),
         (["--forcing-amplitude", "inf", "--forcing-omega", "1"], "amplitude"),
+        (["--u0", "inf"], "u0"),
+        (["--v0", "nan"], "v0"),
     ],
 )
 def test_sdof_rejects_non_finite_inputs(tmp_path, capsys, argv, field):
     assert run(tmp_path, "sdof", "--n", "32", *argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["mdof", "--u0", "nan,0,0"], "u0"),
+        (["mdof", "--v0", "0,inf,0"], "v0"),
+        (["convergence", "--kind", "mdof", "--u0", "nan,0,0"], "u0"),
+        (["convergence", "--kind", "sdof", "--v0", "inf"], "v0"),
+    ],
+)
+def test_non_finite_initial_values_exit_1(tmp_path, capsys, argv, field):
+    assert run(tmp_path, *argv, "--n", "16,32,64" if argv[0] == "convergence" else "32") == 1
+    assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("n, code", [(8192, 0), (32768, 2)])
+def test_sdof_resolution_ceiling(tmp_path, capsys, n, code):
+    # the condition estimate grows as n^2 at fixed t: 4.4e7 at n = 8192 is
+    # inside the gate 1/sqrt(eps) = 6.7e7, 7.0e8 at n = 32768 is not
+    argv = ["sdof", "--t", "10", "--n", str(n), "--c", "0.4", "--k", "4"]
+    assert run(tmp_path, *argv) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert "condition=4.39e+07" in out
+        return
+    assert "condition estimate 7.0" in err and "exceeds 6.711e+07" in err
+    n_max = int(err.split("largest admissible n_steps at this t is ")[1].split()[0])
+    assert 8192 < n_max < 32768

@@ -362,6 +362,10 @@ def test_mdof_json_rejects_bad_documents():
         with pytest.raises(ValueError, match=f"^forcing: {field} must be finite and numeric"):
             mdof_from_json(_json.dumps(doc))
     doc = _json.loads(good)
+    doc["j_hat_0"] = [math.nan, 0.0]
+    with pytest.raises(ValueError, match="j_hat_0 must be finite"):
+        mdof_from_json(_json.dumps(doc))
+    doc = _json.loads(good)
     doc["extra"] = 1
     with pytest.raises(ValueError, match="unknown keys"):
         mdof_from_json(_json.dumps(doc))
