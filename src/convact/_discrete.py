@@ -74,10 +74,15 @@ def prefix_conv_matrices(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class DofLayout:
-    """Node-major-inside, component-major-outside packing of state histories.
+    """Node-major packing of the (u, J) histories of the mixed action in fold
+    order.
 
-    x = [u_comp0 nodes..., u_comp1 nodes..., ..., J_el0 nodes..., ...]
-    For displacement-only actions n_el = 0 and x holds only u.
+    Nodes go 0, 1, n, 2, n - 1, ... and each node holds its components side
+    by side: u_0 ... u_{d-1}, then J_0 ... J_{e-1}. Node 0, the one the
+    initial conditions pin, is x[:width] and the free values are x[width:].
+    The mixed pairings couple node i with its neighbours and with the nodes
+    near n - i (the reflected cells), so in this order every coupling lies a
+    few places off the diagonal.
     """
 
     n_nodes: int
@@ -85,56 +90,29 @@ class DofLayout:
     n_el: int
 
     @property
+    def width(self) -> int:
+        return self.n_dof + self.n_el
+
+    @property
     def size(self) -> int:
-        return self.n_nodes * (self.n_dof + self.n_el)
+        return self.n_nodes * self.width
 
-    def u_slice(self, comp: int) -> slice:
-        return slice(comp * self.n_nodes, (comp + 1) * self.n_nodes)
-
-    def J_slice(self, elem: int) -> slice:
-        off = self.n_dof * self.n_nodes
-        return slice(off + elem * self.n_nodes, off + (elem + 1) * self.n_nodes)
-
-    def pack(self, u: np.ndarray, J: np.ndarray | None = None) -> np.ndarray:
-        u = np.atleast_2d(np.asarray(u, dtype=float).T).T  # (n_nodes, n_dof)
-        parts = [u[:, a] for a in range(self.n_dof)]
-        if self.n_el:
-            J = np.atleast_2d(np.asarray(J, dtype=float).T).T
-            parts += [J[:, e] for e in range(self.n_el)]
-        return np.concatenate(parts)
-
-    def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        u = np.column_stack([x[self.u_slice(a)] for a in range(self.n_dof)])
-        J = (
-            np.column_stack([x[self.J_slice(e)] for e in range(self.n_el)])
-            if self.n_el
-            else None
-        )
-        return u, J
-
-    def node0_indices(self) -> np.ndarray:
-        """Indices of every node-0 dof (the constrained ones)."""
-        first = [self.u_slice(a).start for a in range(self.n_dof)]
-        first += [self.J_slice(e).start for e in range(self.n_el)]
-        return np.asarray(first, dtype=int)
-
-    def free_indices(self) -> np.ndarray:
-        """Indices of every dof at nodes 1..n, in packing order."""
-        return np.setdiff1d(np.arange(self.size), self.node0_indices())
-
-    def fold_order(self) -> np.ndarray:
-        """Fold order of the free values: node 1, n, 2, n-1, ..., with all
-        components of a node side by side. Entry p is the position, in
-        `free_indices()` order, of the value placed p-th.
-
-        The mixed pairings couple node i with its neighbours and with the
-        nodes near n - i (the reflected cells), so in this order every
-        coupling lies a few places off the diagonal."""
+    def nodes(self) -> np.ndarray:
+        """The node order: 0, 1, n, 2, n - 1, ..."""
         n = self.n_nodes - 1
         k = np.arange(n)
-        nodes = np.where(k % 2 == 0, k // 2 + 1, n - k // 2)
-        comps = np.arange(self.n_dof + self.n_el)
-        return (comps[None, :] * n + (nodes - 1)[:, None]).ravel()
+        return np.concatenate([[0], np.where(k % 2 == 0, k // 2 + 1, n - k // 2)])
+
+    def pack(self, u: np.ndarray, J: np.ndarray) -> np.ndarray:
+        table = np.hstack([
+            np.reshape(np.asarray(u, dtype=float), (self.n_nodes, self.n_dof)),
+            np.reshape(np.asarray(J, dtype=float), (self.n_nodes, self.n_el)),
+        ])
+        return table[self.nodes()].ravel()
+
+    def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        table = np.reshape(x, (self.n_nodes, self.width))[np.argsort(self.nodes())]
+        return table[:, : self.n_dof].copy(), table[:, self.n_dof :].copy()
 
 
 def _symmetrize(q: np.ndarray) -> np.ndarray:
@@ -247,20 +225,23 @@ def build_mca_system(
 
     Every term is a model matrix times a time operator, so K is a sum of
     Kronecker products, symmetrized:
-        K = sym(P_R (x) R + P_S (x) S + P_S (x) E),
+        K = sym(R (x) P_R + S (x) P_S + E (x) P_S),
         P_R = [[M/2, 0], [0, -A/2]],   P_S = [[C/2, 0], [B^T, 0]],
-    over the (u, J) variable blocks, with R the rate pairing, S the scheme's
-    semi-derivative pairing (`rate_value_pair_matrix` or
+    over the (u, J) components of a node, with R the rate pairing, S the
+    scheme's semi-derivative pairing (`rate_value_pair_matrix` or
     `gl_semi_pair_matrix`) and E = e_0 e_n^T the reduced scheme's corner
-    x(0) y(t) (absent in the direct scheme). Every time operator is sparse,
-    so K is a sparse CSR matrix with O(n) nonzeros; its entries sum their
-    products in term order, as a dense block-by-block sum would.
+    x(0) y(t) (absent in the direct scheme). Each time operator has its rows
+    and columns in the fold order of `DofLayout`, so K and r are packed node
+    by node with node 0 first. Every time operator is sparse, so K is a
+    sparse CSR matrix with O(n) nonzeros; its entries sum their products in
+    term order, as a dense block-by-block sum would.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     n1 = grid.n_nodes
     d, e = model.n_dof, model.n_el
     layout = DofLayout(n1, d, e)
+    fold = layout.nodes()
     u, j = slice(0, d), slice(d, d + e)
     p_rate = np.zeros((d + e, d + e))
     p_rate[u, u], p_rate[j, j] = 0.5 * model.M, -0.5 * model.A
@@ -268,34 +249,33 @@ def build_mca_system(
     p_semi[u, u], p_semi[j, u] = 0.5 * model.C, model.B.T
 
     semi = rate_value_pair_matrix(grid) if scheme == "reduced" else gl_semi_pair_matrix(grid)
-    q = sparse.kron(p_rate, rate_pair_matrix(grid)) + sparse.kron(p_semi, semi)
+    terms = [(rate_pair_matrix(grid), p_rate), (semi, p_semi)]
     if scheme == "reduced":
-        corner = sparse.coo_array(([1.0], ([0], [n1 - 1])), shape=(n1, n1))
-        q = q + sparse.kron(p_semi, corner)
+        terms.append((sparse.csr_array(([1.0], ([0], [n1 - 1])), shape=(n1, n1)), p_semi))
+    q = sum(sparse.kron(op[fold][:, fold], coef) for op, coef in terms)
     k_full = _symmetrize(q).tocsr()
     k_full.eliminate_zeros()  # drops the -0.0 products of zero coefficients
 
-    r = np.zeros(layout.size)
-    f_hist = model.forcing_history(grid.nodes())
-    r[: d * n1] -= reflected_load_weights(f_hist, grid.h).T.ravel()
-    r[n1 - 1 : d * n1 : n1] -= model.j_hat_0  # end node of each u component
-    return k_full, r, layout
+    r = np.zeros((n1, d + e))
+    r[:, u] -= reflected_load_weights(model.forcing_history(grid.nodes()), grid.h)
+    r[-1, u] -= model.j_hat_0  # the end node
+    return k_full, r[fold].ravel(), layout
 
 
 def build_hamilton_system(
     model: SdofModel, grid: Grid
-) -> tuple[np.ndarray, np.ndarray, DofLayout]:
+) -> tuple[np.ndarray, np.ndarray]:
     """K, r of the classical action int (m u'^2 / 2 - k u^2 / 2 + f u) dtau."""
     dmat = deriv1_matrix(grid.n_steps, grid.h)
     tmat = trapezoid_matrix(grid)
     q = 0.5 * model.m * dmat.T @ tmat @ dmat - 0.5 * model.k * tmat
     r = tmat @ model.forcing_signal(grid).values
-    return _symmetrize(q), r, DofLayout(grid.n_nodes, 1, 0)
+    return _symmetrize(q), r
 
 
 def build_tonti_system(
     model: SdofModel, grid: Grid
-) -> tuple[np.ndarray, np.ndarray, DofLayout]:
+) -> tuple[np.ndarray, np.ndarray]:
     """K, r of the convolutional action with the half-weighted damping term:
     1/2 u' * m u' + 1/2 u' * c u + 1/2 u * k u - u * f."""
     dmat = deriv1_matrix(grid.n_steps, grid.h)
@@ -306,12 +286,12 @@ def build_tonti_system(
         + 0.5 * model.k * wmat
     )
     r = -(wmat @ model.forcing_signal(grid).values)
-    return _symmetrize(q), r, DofLayout(grid.n_nodes, 1, 0)
+    return _symmetrize(q), r
 
 
 def build_gurtin_system(
     model: SdofModel, grid: Grid, u0: float, v0: float
-) -> tuple[np.ndarray, np.ndarray, DofLayout]:
+) -> tuple[np.ndarray, np.ndarray]:
     """K, r of the Gurtin convolutional action
     1/2 m [u*u] + 1/2 [c*[u*u]] + 1/2 [k tau*[u*u]] - [f*u] at the end time,
     with f carrying the initial-condition data."""
@@ -322,4 +302,4 @@ def build_gurtin_system(
     q = 0.5 * model.m * wmat + 0.5 * model.c * w_const + 0.5 * model.k * w_ramp
     f = gurtin_forcing(model, u0, v0, grid)
     r = -(wmat @ f.values)
-    return _symmetrize(q), r, DofLayout(grid.n_nodes, 1, 0)
+    return _symmetrize(q), r

@@ -48,9 +48,6 @@ class ActionKind(enum.Enum):
     MCA_MDOF = "MCA_MDOF"
 
 
-DISPLACEMENT_KINDS = frozenset(
-    {ActionKind.HAMILTON, ActionKind.GURTIN, ActionKind.TONTI}
-)
 MIXED_KINDS = frozenset({ActionKind.MCA_SDOF, ActionKind.MCA_MDOF})
 
 # named residual vocabulary per kind
@@ -250,13 +247,8 @@ def action_value(kind: ActionKind, model, traj, *, ics=None, scheme: str = "redu
     raise ValueError(f"unknown action kind {kind!r}")
 
 
-def _build_system(kind: ActionKind, model, grid: Grid, ics, scheme: str):
-    from ._discrete import (
-        build_gurtin_system,
-        build_hamilton_system,
-        build_mca_system,
-        build_tonti_system,
-    )
+def _displacement_system(kind: ActionKind, model, grid: Grid, ics):
+    from ._discrete import build_gurtin_system, build_hamilton_system, build_tonti_system
 
     if kind is ActionKind.HAMILTON:
         return build_hamilton_system(model, grid)
@@ -266,15 +258,7 @@ def _build_system(kind: ActionKind, model, grid: Grid, ics, scheme: str):
         if ics is None:
             raise ValueError("GURTIN needs ics=(u0, v0)")
         return build_gurtin_system(model, grid, ics[0], ics[1])
-    if kind in MIXED_KINDS:
-        return build_mca_system(model, grid, scheme)
     raise ValueError(f"unknown action kind {kind!r}")
-
-
-def _node_vector(kind: ActionKind, traj, layout) -> np.ndarray:
-    if kind in DISPLACEMENT_KINDS:
-        return layout.pack(_signal_of(traj).values)
-    return layout.pack(traj.u, traj.J)
 
 
 def _check_direction_constraints(kind: ActionKind, direction):
@@ -305,9 +289,14 @@ def action_variation(
     _check_kind_inputs(kind, model, direction, "direction")
     _check_direction_constraints(kind, direction)
     model, ics, traj, direction = _one_dof_view(kind, model, ics, traj, direction)
-    kmat, r, layout = _build_system(kind, model, traj.grid, ics, scheme)
-    x = _node_vector(kind, traj, layout)
-    g = _node_vector(kind, direction, layout)
+    if kind in MIXED_KINDS:
+        from ._discrete import build_mca_system
+
+        kmat, r, layout = build_mca_system(model, traj.grid, scheme)
+        x, g = layout.pack(traj.u, traj.J), layout.pack(direction.u, direction.J)
+    else:
+        kmat, r = _displacement_system(kind, model, traj.grid, ics)
+        x, g = _signal_of(traj).values, _signal_of(direction).values
     return float(g @ (kmat @ x + r))
 
 

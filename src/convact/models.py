@@ -228,23 +228,16 @@ class Trajectory:
 
     def to_csv(self) -> str:
         """Columns tau,u...,J... at full double precision."""
+        table = np.column_stack([self.grid.nodes(), self.u, self.J])
         if self.is_scalar:
             header = "tau,u,J"
-            cols = [self.u, self.J]
         else:
             header = "tau," + ",".join(
                 [f"u{i}" for i in range(self.u.shape[1])]
                 + [f"J{e}" for e in range(self.J.shape[1])]
             )
-            cols = [self.u[:, i] for i in range(self.u.shape[1])] + [
-                self.J[:, e] for e in range(self.J.shape[1])
-            ]
-        taus = self.grid.nodes()
-        lines = [header]
-        for row in range(self.grid.n_nodes):
-            vals = [taus[row]] + [col[row] for col in cols]
-            lines.append(",".join(f"{v:.17g}" for v in vals))
-        return "\n".join(lines) + "\n"
+        fmt = ",".join(["%.17g"] * table.shape[1])
+        return "\n".join([header] + [fmt % tuple(row) for row in table.tolist()]) + "\n"
 
 
 def mixed_initials(model: SdofModel, u0: float, v0: float) -> tuple[float, float]:

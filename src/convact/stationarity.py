@@ -3,17 +3,18 @@
 The discrete unknowns are the nodal values of u and J at nodes 1..n; node 0
 is fixed from the mixed-variable initial conditions, which realizes the
 constrained-variation structure of the principle (initial values pinned, end
-values free). Node 0 is eliminated by index arrays: `DofLayout.free_indices`
-selects the sparse rows and columns of the free system, `node0_indices` the
-columns folded into its linear term. The assembled quadratic form is
-symmetric but indefinite — the action is stationary, not minimal.
+values free). `DofLayout` packs the values node by node in fold order (node
+0, 1, n, 2, n - 1, ...), so node 0 is the first `width` values: eliminating
+it keeps the trailing rows and columns of K and folds the leading columns
+into the linear term. The assembled quadratic form is symmetric but
+indefinite — the action is stationary, not minimal.
 
 The solve is O(N) in time and memory for both schemes. K has a few nonzeros
-per row, and in the fold order of `DofLayout.fold_order` (node 1, n, 2,
-n - 1, ...) they all lie within a narrow band, so K is factored by LAPACK's
-banded LU (`dgbtrf`). Its 1-norm condition number is estimated by Hager's
-method over banded solves with K and K^T, and a system whose estimate
-exceeds CONDITION_LIMIT is refused.
+per row, and in fold order they all lie within a narrow band, so K is
+factored as packed, with no permutation, by LAPACK's banded LU (`dgbtrf`).
+Its 1-norm condition number is estimated by Hager's method over banded
+solves with K and K^T, and a system whose estimate exceeds CONDITION_LIMIT
+is refused.
 
 The damped oscillator (MCA_SDOF) is solved as the one-dof case of the
 multi-dof system: `assemble` lifts the model through `sdof_as_mdof`, and the
@@ -66,10 +67,11 @@ class SingularSystemError(RuntimeError):
 class QuadraticForm:
     """Reduced quadratic form over the free nodal values.
 
-    I(d) = 1/2 d^T K d + r^T d + const, with d the values at
-    `layout.free_indices()` and the node-0 values eliminated and recorded in
-    `node0`, ordered as `layout.node0_indices()`. K may be given dense or
-    sparse; it is kept as a sparse CSR matrix.
+    I(d) = 1/2 d^T K d + r^T d + const, with d the values at nodes 1..n in
+    the packing order of `layout` (fold order, components side by side) and
+    the node-0 values eliminated and recorded in `node0`, which `layout`
+    packs first. K may be given dense or sparse; it is kept as a sparse CSR
+    matrix.
     """
 
     K: sparse.csr_array = field(repr=False)
@@ -83,7 +85,8 @@ class QuadraticForm:
     def __post_init__(self):
         K = sparse.csr_array(self.K)
         object.__setattr__(self, "K", K)
-        n_free, n_fixed = self.layout.free_indices().size, self.layout.node0_indices().size
+        n_fixed = self.layout.width
+        n_free = self.layout.size - n_fixed
         shapes = (K.shape, self.r.shape, np.shape(self.node0))
         if shapes != ((n_free, n_free), (n_free,), (n_fixed,)):
             raise ValueError(
@@ -100,10 +103,7 @@ class QuadraticForm:
 
     def full_vector(self, d_free: np.ndarray) -> np.ndarray:
         """Reassemble the all-nodes vector from free values plus node-0 data."""
-        x = np.empty(self.layout.size)
-        x[self.layout.free_indices()] = d_free
-        x[self.layout.node0_indices()] = self.node0
-        return x
+        return np.concatenate([self.node0, d_free])
 
 
 def _max_abs(mat: sparse.csr_array) -> float:
@@ -141,12 +141,11 @@ def assemble(
         raise ValueError(f"assemble supports the mixed kinds only, got {kind!r}")
     node0 = np.concatenate(mdof_mixed_initials(model, u0, v0))
     k_full, r_full, layout = build_mca_system(model, grid, scheme)
-    free = layout.free_indices()
-    free_rows = k_full[free]
-    # the node-0 columns as a dense (N, d + e) slab: BLAS forms its product
-    # with node0, so r is bitwise the r of the same columns stored densely
-    r = r_full[free] + free_rows[:, layout.node0_indices()].toarray() @ node0
-    K = free_rows[:, free]
+    w = layout.width
+    # the node-0 columns as a dense (N, w) slab: BLAS forms its product with
+    # node0, so r is bitwise the r of the same columns stored densely
+    r = r_full[w:] + k_full[w:, :w].toarray() @ node0
+    K = k_full[w:, w:]
     return QuadraticForm(
         K=K, r=r, node0=node0, layout=layout, grid=grid, kind=kind, scheme=scheme
     )
@@ -159,14 +158,11 @@ def _traj_from_free(qf: QuadraticForm, d_free: np.ndarray) -> Trajectory:
     return Trajectory(qf.grid, u, J)
 
 
-def _band_storage(K: sparse.csr_array, order: np.ndarray) -> tuple[np.ndarray, int]:
-    """K with rows and columns permuted to `order`, in LAPACK's `dgbtrf`
-    band layout (kl = ku rows of fill room above the band), and its
-    half-bandwidth."""
-    pos = np.empty_like(order)
-    pos[order] = np.arange(order.size)
+def _band_storage(K: sparse.csr_array) -> tuple[np.ndarray, int]:
+    """K in LAPACK's `dgbtrf` band layout (kl = ku rows of fill room above
+    the band), and its half-bandwidth."""
     coo = K.tocoo()
-    i, j = pos[coo.row], pos[coo.col]
+    i, j = coo.row, coo.col
     band = int(np.max(np.abs(i - j), initial=0))
     ab = np.zeros((3 * band + 1, K.shape[0]), order="F")
     ab[2 * band + i - j, j] = coo.data
@@ -201,17 +197,16 @@ def _inverse_norm_estimate(solve, n: int) -> float:
 def solve_stationary(qf: QuadraticForm) -> SolveReport:
     """Solve K d = -r by banded LU in fold order and reassemble the trajectory.
 
-    The free values are permuted to `layout.fold_order()`, where K is banded
-    with a half-bandwidth of a few times the number of components per node;
-    LAPACK's `dgbtrf`/`dgbtrs` factor and solve in O(N) time and memory.
+    In the fold order of `layout` K is banded with a half-bandwidth of a few
+    times the number of components per node; LAPACK's `dgbtrf`/`dgbtrs`
+    factor and solve in O(N) time and memory.
     The 1-norm condition number is ||K||_1 times Hager's estimate of
     ||K^-1||_1, also O(N). Raises SingularSystemError when the factorization
     meets an exactly zero pivot or the condition estimate exceeds
     CONDITION_LIMIT, the half-precision budget of the double-precision solve.
     """
     start = time.perf_counter()
-    order = qf.layout.fold_order()
-    ab, band = _band_storage(qf.K, order)
+    ab, band = _band_storage(qf.K)
     lu, ipiv, info = lapack.dgbtrf(ab, band, band)
     if info > 0:
         raise SingularSystemError(
@@ -222,12 +217,10 @@ def solve_stationary(qf: QuadraticForm) -> SolveReport:
         raise RuntimeError(f"dgbtrf failed with argument error {info}")
 
     def solve(rhs: np.ndarray, trans: int) -> np.ndarray:
-        x, info = lapack.dgbtrs(lu, band, band, rhs[order], ipiv, trans=trans)
+        x, info = lapack.dgbtrs(lu, band, band, rhs, ipiv, trans=trans)
         if info != 0:
             raise RuntimeError(f"dgbtrs failed with argument error {info}")
-        out = np.empty_like(x)
-        out[order] = x
-        return out
+        return x
 
     anorm = float(np.max(abs(qf.K).sum(axis=0), initial=0.0))
     condition = anorm * _inverse_norm_estimate(solve, qf.n_free)

@@ -1,15 +1,17 @@
 """Dense references for the sparse mixed-action path: the block-add builder
 of K, r and the symmetric indefinite (Bunch-Kaufman) solve with its LAPACK
-condition estimate, as the library ran them before it went sparse. Tests
-compare the sparse assembly and the banded solve against these on small
-grids."""
+condition estimate, as the library ran them before it went sparse. The
+references pack the values component by component (all nodes of u_0, then
+u_1, ..., then J); `component_major_index` maps the library's fold-ordered
+packing onto theirs. Tests compare the sparse assembly and the banded solve
+against these on small grids."""
 
 import math
 
 import numpy as np
 from scipy.linalg import lapack
 
-from convact._discrete import DofLayout, conv_end_matrix, reflected_load_weights
+from convact._discrete import conv_end_matrix, reflected_load_weights
 from convact.fracops import gl_derivative_matrix
 
 
@@ -36,11 +38,19 @@ def dense_gl_semi_pair_matrix(grid):
     return gmat.T @ conv_end_matrix(grid) @ gmat
 
 
+def component_major_index(layout):
+    """Entry p is the component-major index of the value the layout packs
+    p-th: component c of node i sits at c * n_nodes + i."""
+    comps = np.arange(layout.width)
+    return (comps[None, :] * layout.n_nodes + layout.nodes()[:, None]).ravel()
+
+
 def dense_mca_system(model, grid, scheme="reduced"):
-    """K, r over all nodal values, K as a dense block-by-block sum."""
+    """K, r over all nodal values packed component by component, K as a
+    dense block-by-block sum."""
     n1 = grid.n_nodes
     d, e = model.n_dof, model.n_el
-    layout = DofLayout(n1, d, e)
+    size = n1 * (d + e)
     u, j = slice(0, d), slice(d, d + e)
     p_rate = np.zeros((d + e, d + e))
     p_rate[u, u], p_rate[j, j] = 0.5 * model.M, -0.5 * model.A
@@ -50,24 +60,26 @@ def dense_mca_system(model, grid, scheme="reduced"):
         semi = dense_rate_value_pair_matrix(grid)
     else:
         semi = dense_gl_semi_pair_matrix(grid)
-    q = np.zeros((layout.size, layout.size))
+    q = np.zeros((size, size))
     blocks = q.reshape(d + e, n1, d + e, n1)
     for coef, op in ((p_rate, dense_rate_pair_matrix(grid)), (p_semi, semi)):
         a, b = np.nonzero(coef)
         blocks[a, :, b, :] += coef[a, b, None, None] * op
     if scheme == "reduced":
         blocks[:, 0, :, -1] += p_semi
-    r = np.zeros(layout.size)
+    r = np.zeros(size)
     f_hist = model.forcing_history(grid.nodes())
     r[: d * n1] -= reflected_load_weights(f_hist, grid.h).T.ravel()
     r[n1 - 1 : d * n1 : n1] -= model.j_hat_0
-    return q + q.T, r, layout
+    return q + q.T, r
 
 
-def dense_free_system(model, grid, node0, scheme="reduced"):
-    """K, r of the free values after node-0 elimination, all dense."""
-    k_full, r_full, layout = dense_mca_system(model, grid, scheme)
-    free, fixed = layout.free_indices(), layout.node0_indices()
+def dense_free_system(model, grid, node0, order, scheme="reduced"):
+    """K, r of the free values after node-0 elimination, all dense, with the
+    values taken in `order`: component-major indices, node 0's first."""
+    k_full, r_full = dense_mca_system(model, grid, scheme)
+    w = model.n_dof + model.n_el
+    fixed, free = order[:w], order[w:]
     K = k_full[np.ix_(free, free)]
     r = r_full[free] + k_full[np.ix_(free, fixed)] @ node0
     return K, r

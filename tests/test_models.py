@@ -380,6 +380,33 @@ def test_trajectory_csv_and_signals():
     assert traj.J_signal().values[0] == 0.5
 
 
+def test_trajectory_csv_bytes():
+    # %.17g round-trips every double: signed zero, subnormal, inexact decimals, max
+    g = Grid(1.0, 4)
+    vals = np.array([-0.0, 5e-324, 0.1, 1.0 / 3.0, 1.7976931348623157e308])
+    scalar = Trajectory(g, vals, vals[::-1])
+    assert scalar.to_csv() == (
+        "tau,u,J\n"
+        "0,-0,1.7976931348623157e+308\n"
+        "0.25,4.9406564584124654e-324,0.33333333333333331\n"
+        "0.5,0.10000000000000001,0.10000000000000001\n"
+        "0.75,0.33333333333333331,4.9406564584124654e-324\n"
+        "1,1.7976931348623157e+308,-0\n"
+    )
+    two = Trajectory(g, np.column_stack([vals, -vals]), np.column_stack([vals[::-1], vals]))
+    assert two.to_csv() == (
+        "tau,u0,u1,J0,J1\n"
+        "0,-0,0,1.7976931348623157e+308,-0\n"
+        "0.25,4.9406564584124654e-324,-4.9406564584124654e-324,0.33333333333333331,"
+        "4.9406564584124654e-324\n"
+        "0.5,0.10000000000000001,-0.10000000000000001,0.10000000000000001,"
+        "0.10000000000000001\n"
+        "0.75,0.33333333333333331,-0.33333333333333331,4.9406564584124654e-324,"
+        "0.33333333333333331\n"
+        "1,1.7976931348623157e+308,-1.7976931348623157e+308,-0,1.7976931348623157e+308\n"
+    )
+
+
 def test_mixed_initials_mdof_consistency():
     model = build_shear_building(2, 2.0, 6.0, 0.4)
     u0 = np.array([0.3, -0.1])

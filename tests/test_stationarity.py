@@ -4,7 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_reference import dense_free_system, dense_gl_semi_pair_matrix, dense_mca_system, dense_solve
+from dense_reference import (
+    component_major_index,
+    dense_free_system,
+    dense_gl_semi_pair_matrix,
+    dense_mca_system,
+    dense_solve,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -53,16 +59,21 @@ def test_assembled_matrix_symmetric(scheme):
 def test_dof_map_is_bijection_and_node0_fixed():
     g = Grid(1.0, 8)
     qf = assemble(ActionKind.MCA_SDOF, DAMPED, g, 1.0, 0.5)
-    free, node0 = qf.layout.free_indices(), qf.layout.node0_indices()
-    assert qf.n_free == free.size == 2 * 8
-    assert sorted(np.concatenate([free, node0]).tolist()) == list(range(2 * 9))
-    np.testing.assert_array_equal(node0, [0, 9])  # u and J at node 0
+    width = qf.layout.width
+    assert width == 2  # u and J at each node
+    assert qf.n_free == qf.layout.size - width == 2 * 8
     assert qf.node0[0] == 1.0
     assert qf.node0[1] == pytest.approx(-0.5 - 0.2)  # -m v0 - c u0
     d = np.arange(1.0, qf.n_free + 1.0)
     x = qf.full_vector(d)
-    np.testing.assert_array_equal(x[free], d)
-    np.testing.assert_array_equal(x[node0], qf.node0)
+    np.testing.assert_array_equal(x[:width], qf.node0)
+    np.testing.assert_array_equal(x[width:], d)
+    # every value lands once: node 0 from node0, nodes 1..8 in fold order
+    u, J = qf.layout.unpack(x)
+    assert (u[0, 0], J[0, 0]) == tuple(qf.node0)
+    free_nodes = [1, 8, 2, 7, 3, 6, 4, 5]
+    np.testing.assert_array_equal(u[free_nodes, 0], d[0::2])
+    np.testing.assert_array_equal(J[free_nodes, 0], d[1::2])
 
 
 def test_fixed_values_fold_into_linear_term():
@@ -110,10 +121,9 @@ def test_gradient_matches_variation_on_unit_directions():
     u, J = qf.layout.unpack(x)
     traj = Trajectory(g, u[:, 0], J[:, 0])
     grad = qf.K @ d + qf.r
-    free = qf.layout.free_indices()
     for row in range(0, qf.n_free, 5):
         basis = np.zeros(qf.layout.size)
-        basis[free[row]] = 1.0
+        basis[qf.layout.width + row] = 1.0
         basis_u, basis_J = qf.layout.unpack(basis)
         direction = Trajectory(g, basis_u[:, 0], basis_J[:, 0])
         vv = action_variation(ActionKind.MCA_SDOF, DAMPED, traj, direction)
@@ -314,14 +324,16 @@ def _models_for_reference():
 @pytest.mark.parametrize("n", [2, 9, 64, 256])
 def test_reduced_assembly_is_bitwise_the_dense_block_sum(n):
     g = Grid(6.0, n)
+    # equal up to the permutation from component-major to fold order
     for name, model in _models_for_reference():
-        K, r, _ = build_mca_system(model, g)
-        K_ref, r_ref, _ = dense_mca_system(model, g)
-        assert K.toarray().tobytes() == K_ref.tobytes(), name
-        assert r.tobytes() == r_ref.tobytes(), name
+        K, r, layout = build_mca_system(model, g)
+        order = component_major_index(layout)
+        K_ref, r_ref = dense_mca_system(model, g)
+        assert K.toarray().tobytes() == K_ref[np.ix_(order, order)].tobytes(), name
+        assert r.tobytes() == r_ref[order].tobytes(), name
         u0 = np.linspace(0.3, -0.2, model.n_dof)
         qf = assemble(ActionKind.MCA_MDOF, model, g, u0, 0.5 * u0)
-        K_free, r_free = dense_free_system(model, g, qf.node0)
+        K_free, r_free = dense_free_system(model, g, qf.node0, order)
         assert qf.K.toarray().tobytes() == K_free.tobytes(), name
         assert qf.r.tobytes() == r_free.tobytes(), name
 
@@ -333,17 +345,36 @@ def test_direct_scheme_matches_dense_gl_product(n):
     gap = np.max(np.abs(gl_semi_pair_matrix(g).toarray() - ref))
     assert gap <= 1e-15 * np.max(np.abs(ref))
     for name, model in _models_for_reference():
-        K, r, _ = build_mca_system(model, g, "direct")
-        K_ref, r_ref, _ = dense_mca_system(model, g, "direct")
+        K, r, layout = build_mca_system(model, g, "direct")
+        order = component_major_index(layout)
+        K_ref, r_ref = dense_mca_system(model, g, "direct")
+        K_ref = K_ref[np.ix_(order, order)]
         assert np.max(np.abs(K.toarray() - K_ref)) <= 1e-15 * np.max(np.abs(K_ref)), name
-        np.testing.assert_array_equal(r, r_ref)
+        np.testing.assert_array_equal(r, r_ref[order])
+        u0 = np.linspace(0.3, -0.2, model.n_dof)
+        qf = assemble(ActionKind.MCA_MDOF, model, g, u0, 0.5 * u0, "direct")
+        K_free, r_free = dense_free_system(model, g, qf.node0, order, "direct")
+        assert np.max(np.abs(qf.K.toarray() - K_free)) <= 1e-15 * np.max(np.abs(K_free)), name
+        assert np.max(np.abs(qf.r - r_free)) <= 1e-15 * np.max(np.abs(r_free)), name
 
 
 def test_fold_order_pairs_each_node_with_its_reflection():
-    # free values of (u, J) at nodes 1..5, packed component by component
-    order = DofLayout(6, 1, 1).fold_order()
-    nodes = [1, 5, 2, 4, 3]
-    np.testing.assert_array_equal(order, [p for i in nodes for p in (i - 1, 5 + i - 1)])
+    np.testing.assert_array_equal(DofLayout(6, 1, 1).nodes(), [0, 1, 5, 2, 4, 3])
+
+
+@pytest.mark.parametrize("n_dof, n_el", [(1, 0), (1, 1), (3, 1)])
+def test_pack_unpack_round_trip_node_by_node(n_dof, n_el):
+    layout = DofLayout(7, n_dof, n_el)
+    rng = np.random.default_rng(n_dof + n_el)
+    u, J = rng.standard_normal((7, n_dof)), rng.standard_normal((7, n_el))
+    x = layout.pack(u, J)
+    assert x.shape == (layout.size,)
+    for p, node in enumerate(layout.nodes()):
+        np.testing.assert_array_equal(x[p * layout.width : (p + 1) * layout.width],
+                                      np.concatenate([u[node], J[node]]))
+    u2, J2 = layout.unpack(x)
+    np.testing.assert_array_equal(u2, u)
+    np.testing.assert_array_equal(J2, J)
 
 
 def _random_small_model(rng, d: int, damped: bool) -> MdofModel:
@@ -394,6 +425,14 @@ def test_banded_solve_matches_dense_solve(model, n, t, scheme):
     assert rep.condition_estimate <= exact * (1.0 + 1e-8)
 
 
+def _component_major(qf):
+    """The free system in component-major order, the packing of the dense
+    reference. Bunch-Kaufman pivoting, and so the dsycon estimate, depends on
+    the order, so the reference estimate is taken in this fixed one."""
+    free = np.argsort(component_major_index(qf.layout)[qf.layout.width :])
+    return qf.K.toarray()[np.ix_(free, free)], qf.r[free]
+
+
 @pytest.mark.parametrize(
     "kind, model, t, n",
     [
@@ -410,7 +449,7 @@ def test_condition_estimate_agrees_with_dense_estimate(kind, model, t, n, scheme
     # dense (dsycon) estimate would loosen it
     u0, v0 = (1.0, 0.0) if kind is ActionKind.MCA_SDOF else (np.array([0.5, 0.2, -0.1]), np.zeros(3))
     qf = assemble(kind, model, Grid(t, n), u0, v0, scheme)
-    _, cond_ref = dense_solve(qf.K.toarray(), qf.r)
+    _, cond_ref = dense_solve(*_component_major(qf))
     ratio = solve_stationary(qf).condition_estimate / cond_ref
     assert 0.99 <= ratio <= 1.01
 
@@ -430,7 +469,7 @@ def test_condition_estimate_tracks_dense_estimate_on_random_models():
         for scheme in ("reduced", "direct"):
             qf = assemble(ActionKind.MCA_MDOF, model, g, np.ones(d), np.zeros(d), scheme)
             K = qf.K.toarray()
-            _, cond_ref = dense_solve(K, qf.r)
+            _, cond_ref = dense_solve(*_component_major(qf))
             if cond_ref > CONDITION_LIMIT / 10:
                 continue
             cond = solve_stationary(qf).condition_estimate
