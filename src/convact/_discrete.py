@@ -30,17 +30,12 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import hankel
 
-from ._stencils import deriv1_matrix
+from ._stencils import deriv1_stencil
 from .fracops import gl_weights
 from .grid import Grid
 from .models import MdofModel, SdofModel
 
 SCHEMES = ("reduced", "direct")
-
-
-def trapezoid_matrix(grid: Grid) -> np.ndarray:
-    """Diagonal trapezoid quadrature: x^T T y = int x y dtau."""
-    return np.diag(grid.trapezoid_weights())
 
 
 def conv_end_matrix(grid: Grid) -> np.ndarray:
@@ -133,6 +128,12 @@ def _anti_diagonal(values: np.ndarray, rows: int, cols: int, shift: int) -> spar
     """values[i] at (i, shift - i) for i = 0..len(values) - 1."""
     i = np.arange(len(values))
     return sparse.coo_array((values, (i, shift - i)), shape=(rows, cols))
+
+
+def _relabel(op: sparse.sparray, rank: np.ndarray) -> sparse.coo_array:
+    """op with its row and column i moved to rank[i]."""
+    op = op.tocoo()
+    return sparse.coo_array((op.data, (rank[op.row], rank[op.col])), shape=op.shape)
 
 
 def rate_pair_matrix(grid: Grid) -> sparse.csr_array:
@@ -230,11 +231,11 @@ def build_mca_system(
     over the (u, J) components of a node, with R the rate pairing, S the
     scheme's semi-derivative pairing (`rate_value_pair_matrix` or
     `gl_semi_pair_matrix`) and E = e_0 e_n^T the reduced scheme's corner
-    x(0) y(t) (absent in the direct scheme). Each time operator has its rows
-    and columns in the fold order of `DofLayout`, so K and r are packed node
-    by node with node 0 first. Every time operator is sparse, so K is a
-    sparse CSR matrix with O(n) nonzeros; its entries sum their products in
-    term order, as a dense block-by-block sum would.
+    x(0) y(t) (absent in the direct scheme). Each time operator's rows and
+    columns are relabelled into the fold order of `DofLayout`, so K and r are
+    packed node by node with node 0 first. Every time operator is sparse, so
+    K is a sparse CSR matrix with O(n) nonzeros; its entries sum their
+    products in term order, as a dense block-by-block sum would.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
@@ -252,7 +253,8 @@ def build_mca_system(
     terms = [(rate_pair_matrix(grid), p_rate), (semi, p_semi)]
     if scheme == "reduced":
         terms.append((sparse.csr_array(([1.0], ([0], [n1 - 1])), shape=(n1, n1)), p_semi))
-    q = sum(sparse.kron(op[fold][:, fold], coef) for op, coef in terms)
+    rank = np.argsort(fold)  # the fold position of each node
+    q = sum(sparse.kron(_relabel(op, rank), coef) for op, coef in terms)
     k_full = _symmetrize(q).tocsr()
     k_full.eliminate_zeros()  # drops the -0.0 products of zero coefficients
 
@@ -264,29 +266,30 @@ def build_mca_system(
 
 def build_hamilton_system(
     model: SdofModel, grid: Grid
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[sparse.csr_array, np.ndarray]:
     """K, r of the classical action int (m u'^2 / 2 - k u^2 / 2 + f u) dtau."""
-    dmat = deriv1_matrix(grid.n_steps, grid.h)
-    tmat = trapezoid_matrix(grid)
+    dmat = deriv1_stencil(grid.n_steps, grid.h)
+    tmat = sparse.diags_array(grid.trapezoid_weights(), format="csr")
     q = 0.5 * model.m * dmat.T @ tmat @ dmat - 0.5 * model.k * tmat
     r = tmat @ model.forcing_signal(grid).values
-    return _symmetrize(q), r
+    return _symmetrize(q).tocsr(), r
 
 
 def build_tonti_system(
     model: SdofModel, grid: Grid
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[sparse.csr_array, np.ndarray]:
     """K, r of the convolutional action with the half-weighted damping term:
     1/2 u' * m u' + 1/2 u' * c u + 1/2 u * k u - u * f."""
-    dmat = deriv1_matrix(grid.n_steps, grid.h)
-    wmat = conv_end_matrix(grid)
+    n = grid.n_steps
+    dmat = deriv1_stencil(n, grid.h)
+    wmat = _anti_diagonal(grid.trapezoid_weights(), n + 1, n + 1, n).tocsr()
     q = (
         0.5 * model.m * dmat.T @ wmat @ dmat
         + 0.5 * model.c * dmat.T @ wmat
         + 0.5 * model.k * wmat
     )
     r = -(wmat @ model.forcing_signal(grid).values)
-    return _symmetrize(q), r
+    return _symmetrize(q).tocsr(), r
 
 
 def build_gurtin_system(

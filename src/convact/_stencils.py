@@ -5,6 +5,7 @@ stencils at the endpoints."""
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 
 def deriv1(values: np.ndarray, h: float) -> np.ndarray:
@@ -29,6 +30,18 @@ def deriv2(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def deriv1_stencil(n_steps: int, h: float) -> sparse.csr_array:
+    """Sparse matrix form of `deriv1` acting on node-value vectors."""
+    n = n_steps
+    k = np.arange(1, n)
+    rows = np.concatenate([[0, 0, 0], k, k, [n, n, n]])
+    cols = np.concatenate([[0, 1, 2], k - 1, k + 1, [n, n - 1, n - 2]])
+    coef = np.concatenate(
+        [[-3.0, 4.0, -1.0], np.full(n - 1, -1.0), np.ones(n - 1), [3.0, -4.0, 1.0]]
+    )
+    return sparse.csr_array((coef / (2.0 * h), (rows, cols)), shape=(n + 1, n + 1))
+
+
 def deriv1_matrix(n_steps: int, h: float) -> np.ndarray:
     """Matrix form of `deriv1` acting on node-value vectors."""
-    return deriv1(np.eye(n_steps + 1), h)
+    return deriv1_stencil(n_steps, h).toarray()

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._stencils import deriv1, deriv2
 from .fracops import Side, frac_deriv
-from .grid import Grid, Signal, convolve, convolve_at_end, sample
+from .grid import Grid, Signal, convolve, convolve_at_end
 from .models import MdofModel, SdofModel, Trajectory, sdof_as_mdof
 
 __all__ = [
@@ -149,9 +149,8 @@ def _one_dof_view(kind: ActionKind, model, ics, *trajs):
 def gurtin_forcing(model: SdofModel, u0: float, v0: float, grid: Grid) -> Signal:
     """Effective forcing of the convolutional restatement of the initial value
     problem: [tau * f](t) + (m + c tau) u0 + m tau v0."""
-    ramp = sample(lambda t: t, grid)
-    conv = convolve(ramp, model.forcing_signal(grid))
     taus = grid.nodes()
+    conv = convolve(Signal(grid, taus), model.forcing_signal(grid))
     vals = conv.values + (model.m + model.c * taus) * u0 + model.m * taus * v0
     return Signal(grid, vals)
 
@@ -230,8 +229,8 @@ def action_value(kind: ActionKind, model, traj, *, ics=None, scheme: str = "redu
         u = _signal_of(traj)
         g = u.grid
         uu = convolve(u, u)
-        ones = sample(lambda t: 1.0, g)
-        kramp = sample(lambda t: model.k * t, g)
+        ones = Signal(g, np.ones(g.n_nodes))
+        kramp = Signal(g, model.k * g.nodes())
         f = gurtin_forcing(model, ics[0], ics[1], g)
         return (
             0.5 * model.m * convolve_at_end(u, u)
@@ -330,8 +329,8 @@ def el_residuals(kind: ActionKind, model, traj, *, ics=None) -> ResidualReport:
         if ics is None:
             raise ValueError("GURTIN residuals need ics=(u0, v0)")
         u = _signal_of(traj)
-        ones = sample(lambda t: 1.0, grid)
-        ramp = sample(lambda t: t, grid)
+        ones = Signal(grid, np.ones(grid.n_nodes))
+        ramp = Signal(grid, grid.nodes())
         f = gurtin_forcing(model, ics[0], ics[1], grid)
         fields["integro_motion"] = (
             model.m * u.values

@@ -13,6 +13,7 @@ to the two-point difference and the integral to running trapezoid.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -51,17 +52,26 @@ class GlWeights:
 
 
 def gl_weights(alpha, count: int) -> GlWeights:
-    """First `count` GL weights for the given order."""
+    """First `count` GL weights for the given order.
+
+    The weight array is cached per (alpha, count) and read-only, so repeated
+    calls share one array instead of rerunning the recurrence."""
     order = as_order(alpha)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    a = order.alpha
+    return GlWeights(order, _gl_weight_array(order.alpha, int(count)))
+
+
+@functools.lru_cache(maxsize=32)
+def _gl_weight_array(a: float, count: int) -> np.ndarray:
+    # The loop rounds w[j-1] * (j - 1 - a) before dividing by j; a vectorised
+    # cumprod rounds differently and is not bitwise the same recurrence.
     w = np.empty(count)
     w[0] = 1.0
     for j in range(1, count):
         w[j] = w[j - 1] * (j - 1 - a) / j
     w.setflags(write=False)
-    return GlWeights(order, w)
+    return w
 
 
 def frac_deriv(side: Side, u: Signal, alpha) -> Signal:

@@ -153,22 +153,19 @@ def sample(f: Callable[[float], float], grid: Grid) -> Signal:
 def convolve(u: Signal, v: Signal) -> Signal:
     """Running convolution [u * v](tau_k) = int_0^{tau_k} u(xi) v(tau_k - xi) dxi.
 
-    Trapezoid product quadrature on each prefix. The summation runs over the
-    symmetrized product matrix, so the result is bitwise identical under
-    interchange of u and v; result[0] = 0 always.
+    Trapezoid product quadrature on each prefix, in O(n) memory. Prefix k of
+    the symmetrized sum conv(u, v) + conv(v, u) pairs every node twice, so the
+    trapezoid rule takes it at half weight less its two end products
+    u_0 v_k + v_0 u_k. Swapping u and v only swaps the operands of each +
+    and x, which commute exactly in IEEE arithmetic, so the result is bitwise
+    identical under interchange of u and v; result[0] = 0 always.
     """
     _require_same_grid(u, v)
     n = u.grid.n_steps
-    h = u.grid.h
-    # S[i, j] = u_i v_j + u_j v_i is bitwise symmetric in (u, v), which makes
-    # every anti-diagonal sum below invariant under argument interchange.
-    p = np.outer(u.values, v.values)
-    s = p + p.T
-    out = np.zeros(n + 1)
-    idx = np.arange(n + 1)
-    for k in range(1, n + 1):
-        diag = s[idx[: k + 1], k - idx[: k + 1]]  # s[j, k - j] for j = 0..k
-        out[k] = 0.5 * h * (0.5 * (diag[0] + diag[-1]) + diag[1:-1].sum())
+    a, b = u.values, v.values
+    full = np.convolve(a, b)[: n + 1] + np.convolve(b, a)[: n + 1]
+    out = 0.5 * u.grid.h * (full - (a[0] * b + b[0] * a))
+    out[0] = 0.0
     return Signal(u.grid, out)
 
 

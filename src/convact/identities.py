@@ -271,24 +271,6 @@ class SweepRow:
     order_estimate: float | None  # vs the previous (coarser) grid; None on coarsest
 
 
-def _evaluate(kind: IdentityKind, alpha, grid: Grid, seed: int) -> IdentityReport:
-    # Fractional kinds: phi vanishes at both ends so the Grunwald-Letnikov
-    # boundary layer of the singular endpoints stays out of the quadrature,
-    # while psi keeps free ends; the residual then measures the genuine O(h)
-    # operator error. (With both ends free the trapezoid weights at the
-    # singular nodes pollute the sums at order h^(1-alpha); with both signals
-    # interior-supported the discrete identities hold to roundoff and no order
-    # is measurable.) Integer kinds use free ends so their released boundary
-    # terms are exercised.
-    if kind in INTEGER_KINDS:
-        phi = sample(trig_profile(seed, grid.t_final, vanish_ends=False), grid)
-        psi = sample(trig_profile(seed + 1, grid.t_final, vanish_ends=False), grid)
-    else:
-        phi = sample(trig_profile(seed, grid.t_final, vanish_ends=True), grid)
-        psi = sample(trig_profile(seed + 1, grid.t_final, vanish_ends=False), grid)
-    return ibp_residual(kind, phi, psi, alpha)
-
-
 def run_identity_sweep(
     kinds: Iterable[IdentityKind],
     alphas: Sequence[float],
@@ -300,17 +282,35 @@ def run_identity_sweep(
 
     Integer-order kinds appear once per grid (alpha-free). Rows come out in a
     canonical order: kind, then alpha, then grid size.
+
+    Fractional kinds pair a phi that vanishes at both ends with a psi that
+    keeps free ends, so the Grunwald-Letnikov boundary layer of the singular
+    endpoints stays out of the quadrature and the residual measures the
+    genuine O(h) operator error. (With both ends free the trapezoid weights at
+    the singular nodes pollute the sums at order h^(1-alpha); with both
+    signals interior-supported the discrete identities hold to roundoff and
+    no order is measurable.) Integer kinds use free ends in both, so their
+    released boundary terms are exercised. The three profiles are sampled
+    once per grid and shared by every cell on it.
     """
     if sorted(set(n_list)) != list(n_list):
         raise ValueError("n_list must be strictly increasing")
+    free_phi = trig_profile(seed, t_final, vanish_ends=False)
+    pinned_phi = trig_profile(seed, t_final, vanish_ends=True)
+    free_psi = trig_profile(seed + 1, t_final, vanish_ends=False)
+    profiles = {}
+    for n in n_list:
+        grid = Grid(t_final, n)
+        profiles[n] = (sample(free_phi, grid), sample(pinned_phi, grid), sample(free_psi, grid))
     rows: list[SweepRow] = []
     for kind in kinds:
         kind_alphas: Sequence[float | None] = [None] if kind in INTEGER_KINDS else list(alphas)
         for alpha in kind_alphas:
             prev: IdentityReport | None = None
             for n in n_list:
-                grid = Grid(t_final, n)
-                rep = _evaluate(kind, alpha, grid, seed)
+                free, pinned, psi = profiles[n]
+                phi = free if kind in INTEGER_KINDS else pinned
+                rep = ibp_residual(kind, phi, psi, alpha)
                 order = None
                 if prev is not None and rep.residual > 0.0 and prev.residual > 0.0:
                     order = math.log2(prev.residual / rep.residual)

@@ -1,10 +1,11 @@
-"""Dense references for the sparse mixed-action path: the block-add builder
-of K, r and the symmetric indefinite (Bunch-Kaufman) solve with its LAPACK
-condition estimate, as the library ran them before it went sparse. The
-references pack the values component by component (all nodes of u_0, then
-u_1, ..., then J); `component_major_index` maps the library's fold-ordered
-packing onto theirs. Tests compare the sparse assembly and the banded solve
-against these on small grids."""
+"""Dense references for the sparse and O(n)-memory kernels: the block-add
+builder of the mixed action's K, r and the symmetric indefinite
+(Bunch-Kaufman) solve with its LAPACK condition estimate, as the library ran
+them before it went sparse; the dense Hamilton and Tonti products; and the
+outer-product running convolution. The mixed references pack the values
+component by component (all nodes of u_0, then u_1, ..., then J);
+`component_major_index` maps the library's fold-ordered packing onto theirs.
+Tests compare the library kernels against these on small grids."""
 
 import math
 
@@ -12,6 +13,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from convact._discrete import conv_end_matrix, reflected_load_weights
+from convact._stencils import deriv1_matrix
 from convact.fracops import gl_derivative_matrix
 
 
@@ -96,3 +98,37 @@ def dense_solve(K, r):
     d, info = lapack.dsytrs(ldu, ipiv, -r, lower=0)
     assert info == 0
     return d, (math.inf if rcond == 0.0 else 1.0 / rcond)
+
+
+def outer_product_convolve(a, b, h):
+    """Running trapezoid convolution of two sample arrays summed along the
+    anti-diagonals of the symmetrized n x n product matrix."""
+    n = a.size - 1
+    p = np.outer(a, b)
+    s = p + p.T
+    out = np.zeros(n + 1)
+    idx = np.arange(n + 1)
+    for k in range(1, n + 1):
+        diag = s[idx[: k + 1], k - idx[: k + 1]]  # s[j, k - j] for j = 0..k
+        out[k] = 0.5 * h * (0.5 * (diag[0] + diag[-1]) + diag[1:-1].sum())
+    return out
+
+
+def dense_hamilton_system(model, grid):
+    """K, r of the classical action as dense matrix products."""
+    dmat = deriv1_matrix(grid.n_steps, grid.h)
+    tmat = np.diag(grid.trapezoid_weights())
+    q = 0.5 * model.m * dmat.T @ tmat @ dmat - 0.5 * model.k * tmat
+    return q + q.T, tmat @ model.forcing_signal(grid).values
+
+
+def dense_tonti_system(model, grid):
+    """K, r of the Tonti action as dense matrix products."""
+    dmat = deriv1_matrix(grid.n_steps, grid.h)
+    wmat = conv_end_matrix(grid)
+    q = (
+        0.5 * model.m * dmat.T @ wmat @ dmat
+        + 0.5 * model.c * dmat.T @ wmat
+        + 0.5 * model.k * wmat
+    )
+    return q + q.T, -(wmat @ model.forcing_signal(grid).values)

@@ -1,11 +1,18 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from dense_reference import dense_hamilton_system, dense_tonti_system
 
-from convact._discrete import increment_matrix, prefix_conv_matrices
+from convact._discrete import (
+    build_hamilton_system,
+    build_tonti_system,
+    increment_matrix,
+    prefix_conv_matrices,
+)
 from convact._stencils import deriv1, deriv1_matrix, deriv2
 from convact.actions import (
     ActionKind,
@@ -263,6 +270,37 @@ def test_operator_matrices_match_entry_loops(n):
     ref_inc[np.arange(n), np.arange(n) + 1] = 1.0
     assert deriv1_matrix(n, h).tobytes() == ref_d1.tobytes()
     assert increment_matrix(Grid(3.0, n)).tobytes() == ref_inc.tobytes()
+
+
+FORCED = SdofModel(m=1.3, c=0.4, k=2.5, forcing=HarmonicForcing(0.8, 1.7, 0.3))
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 64, 512])
+@pytest.mark.parametrize(
+    "build, dense", [(build_hamilton_system, dense_hamilton_system),
+                     (build_tonti_system, dense_tonti_system)]
+)
+def test_sparse_displacement_systems_match_dense_products(n, build, dense):
+    g = Grid(4.0, n)
+    K, r = build(FORCED, g)
+    K_ref, r_ref = dense(FORCED, g)
+    K = K.toarray()
+    assert np.max(np.abs(K - K_ref)) <= 1e-15 * np.max(np.abs(K_ref))
+    assert K.tobytes() == K.T.tobytes()
+    assert r.tobytes() == r_ref.tobytes()
+
+
+@pytest.mark.parametrize("build", [build_hamilton_system, build_tonti_system])
+def test_sparse_displacement_systems_memory_is_linear(build):
+    # a dense (n+1)^2 K alone would be 33.6 MB at n = 2048
+    g = Grid(4.0, 2048)
+    tracemalloc.start()
+    try:
+        build(FORCED, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * g.n_nodes
 
 
 @pytest.mark.parametrize("n", [3, 9, 64, 512])

@@ -13,7 +13,7 @@ from convact.fracops import (
     gl_weights,
     interior_slice,
 )
-from convact.grid import Grid, Signal, reflect, sample
+from convact.grid import FracOrder, Grid, Signal, reflect, sample
 
 
 def brute_left_integral(f, tau, alpha, n_sub=6000):
@@ -46,6 +46,26 @@ def test_gl_weights_half_order():
 def test_gl_weights_integer_order():
     w = gl_weights(1.0, 3).w
     np.testing.assert_allclose(w, [1.0, -1.0, 0.0], atol=1e-16)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 1.0])
+@pytest.mark.parametrize("count", [1, 2, 7, 513, 4097])
+def test_gl_weights_cached_array_is_the_recurrence(alpha, count):
+    ref = np.empty(count)
+    ref[0] = 1.0
+    for j in range(1, count):
+        ref[j] = ref[j - 1] * (j - 1 - alpha) / j
+    for _ in range(2):  # the second call is served from the cache
+        w = gl_weights(alpha, count).w
+        assert w.tobytes() == ref.tobytes()
+        assert not w.flags.writeable
+
+
+def test_gl_weights_float_and_order_share_weights():
+    a = gl_weights(0.5, 65)
+    b = gl_weights(FracOrder(0.5), 65)
+    assert a.alpha == b.alpha
+    assert a.w.tobytes() == b.w.tobytes()
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 0.9])

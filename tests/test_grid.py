@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from dense_reference import outer_product_convolve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,6 +97,31 @@ def test_convolve_starts_at_zero_and_is_commutative_bitwise():
     np.testing.assert_array_equal(uv.values, vu.values)
     assert convolve_at_end(u, v) == convolve_at_end(v, u)
     assert convolve_at_end(u, v) == pytest.approx(uv.values[-1], rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 64, 512, 4096])
+def test_convolve_matches_outer_product_reference(n):
+    rng = np.random.default_rng(n)
+    g = Grid(2.5, n)
+    a, b = rng.standard_normal(g.n_nodes), rng.standard_normal(g.n_nodes)
+    ref = outer_product_convolve(a, b, g.h)
+    got = convolve(Signal(g, a), Signal(g, b)).values
+    assert got[0] == 0.0
+    assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(ref))
+
+
+def test_convolve_memory_is_linear():
+    # an (n+1)^2 float array alone would be 33.6 MB at n = 2048
+    rng = np.random.default_rng(5)
+    g = Grid(1.0, 2048)
+    u, v = (Signal(g, rng.standard_normal(g.n_nodes)) for _ in range(2))
+    tracemalloc.start()
+    try:
+        convolve(u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 8 * g.n_nodes
 
 
 def test_convolve_distributive():

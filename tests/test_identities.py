@@ -257,3 +257,43 @@ def test_sweep_deterministic():
     assert sweep_rows_to_csv(rows_a) == sweep_rows_to_csv(rows_b)
     rows_c = run_identity_sweep([IdentityKind.INNER_DERIV], [0.5], [32, 64], seed=8)
     assert sweep_rows_to_csv(rows_a) != sweep_rows_to_csv(rows_c)
+
+
+def _fresh_cell(kind, alpha, grid, seed):
+    """One sweep cell with its profiles sampled afresh for the cell alone."""
+    vanish = kind not in INTEGER_KINDS
+    phi = sample(trig_profile(seed, grid.t_final, vanish_ends=vanish), grid)
+    psi = sample(trig_profile(seed + 1, grid.t_final, vanish_ends=False), grid)
+    return ibp_residual(kind, phi, psi, alpha)
+
+
+def test_sweep_equals_per_cell_evaluation_bitwise():
+    n_list, seed = [32, 64, 128], 11
+    rows = run_identity_sweep(list(IdentityKind), ALL_ALPHAS, n_list, t_final=1.5, seed=seed)
+    cells = [
+        (kind, alpha, n)
+        for kind in IdentityKind
+        for alpha in ([None] if kind in INTEGER_KINDS else ALL_ALPHAS)
+        for n in n_list
+    ]
+    assert len(rows) == len(cells)
+    for row, (kind, alpha, n) in zip(rows, cells):
+        ref = _fresh_cell(kind, alpha, Grid(1.5, n), seed)
+        assert (row.report.kind, row.report.alpha, row.n_steps) == (ref.kind, ref.alpha, n)
+        for name in ("lhs", "rhs", "residual"):
+            got, want = getattr(row.report, name), getattr(ref, name)
+            assert got.hex() == want.hex(), (kind, alpha, n, name)
+
+
+def test_sweep_samples_three_profiles_per_grid(monkeypatch):
+    import convact.identities as identities
+
+    calls = []
+
+    def counting_sample(f, grid):
+        calls.append(grid.n_steps)
+        return sample(f, grid)
+
+    monkeypatch.setattr(identities, "sample", counting_sample)
+    run_identity_sweep(list(IdentityKind), ALL_ALPHAS, [32, 64, 128])
+    assert sorted(calls) == [32] * 3 + [64] * 3 + [128] * 3
