@@ -1,13 +1,15 @@
 """Discrete quadratic forms of the action functionals.
 
 Every supported action is quadratic in the nodal values of its state
-histories, so each kind maps to a matrix pair (K, r) with
+histories, so each kind maps to a pair (K, r) with
 
     I(x) = 1/2 x^T K x + r^T x,        K = K^T exactly,
 
-over the full node-value vector x (no constraints applied here). The first
-variation in a direction g is then g^T (K x + r), and the stationarity module
-eliminates the fixed node-0 values to obtain the solvable system.
+over the full node-value vector x (no constraints applied here). K is a
+sparse matrix, except for GURTIN, whose nested convolutions couple every pair
+of nodes; its K is a matrix-free operator. The first variation in a
+direction g is then g^T (K x + r), and the stationarity module eliminates the
+fixed node-0 values to obtain the solvable system.
 
 Discretization of the mixed action: the reduced scheme (default) evaluates
 every convolution EXACTLY on the piecewise-linear interpolants of the nodal
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import hankel
 
 from ._stencils import deriv1_stencil
 from .fracops import gl_weights
@@ -36,35 +37,6 @@ from .grid import Grid
 from .models import MdofModel, SdofModel
 
 SCHEMES = ("reduced", "direct")
-
-
-def conv_end_matrix(grid: Grid) -> np.ndarray:
-    """Anti-diagonal pairing: x^T W y = [x * y](t_final) by trapezoid."""
-    n = grid.n_steps
-    mat = np.zeros((n + 1, n + 1))
-    mat[np.arange(n + 1), n - np.arange(n + 1)] = grid.trapezoid_weights()
-    return mat
-
-
-def prefix_conv_matrices(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic forms of the nested convolutions [1 * [u*u]](t) and
-    [tau * [u*u]](t): sums of prefix pairings weighted by the outer trapezoid
-    rule and kernel samples.
-
-    The prefix pairing over nodes 0..j pairs node p with node j - p, so entry
-    (p, q) comes from prefix j = p + q alone (1 <= j <= n): a Hankel fill of
-    the outer weights, times the prefix trapezoid weight h, halved at p = 0
-    or q = 0."""
-    n = grid.n_steps
-    outer = grid.trapezoid_weights()
-    outer[0] = 0.0  # the prefix j = 0 pairs nothing
-    w_pq = np.full((n + 1, n + 1), grid.h)
-    w_pq[0] *= 0.5
-    w_pq[:, 0] *= 0.5
-    zeros = np.zeros(n + 1)  # entries with p + q > n
-    w_const = hankel(outer, zeros) * w_pq
-    w_ramp = hankel(outer * (grid.t_final - grid.nodes()), zeros) * w_pq
-    return w_const, w_ramp
 
 
 @dataclass(frozen=True)
@@ -117,11 +89,6 @@ def _symmetrize(q: np.ndarray) -> np.ndarray:
 def _increments(n: int) -> sparse.csr_array:
     """Sparse cell increments: (L x)_m = x_{m+1} - x_m for cells m = 0..n-1."""
     return sparse.diags_array([-1.0, 1.0], offsets=[0, 1], shape=(n, n + 1), format="csr")
-
-
-def increment_matrix(grid: Grid) -> np.ndarray:
-    """Cell increments as a dense matrix: (L x)_m = x_{m+1} - x_m."""
-    return _increments(grid.n_steps).toarray()
 
 
 def _anti_diagonal(values: np.ndarray, rows: int, cols: int, shift: int) -> sparse.coo_array:
@@ -294,15 +261,33 @@ def build_tonti_system(
 
 def build_gurtin_system(
     model: SdofModel, grid: Grid, u0: float, v0: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[sparse.linalg.LinearOperator, np.ndarray]:
     """K, r of the Gurtin convolutional action
     1/2 m [u*u] + 1/2 [c*[u*u]] + 1/2 [k tau*[u*u]] - [f*u] at the end time,
-    with f carrying the initial-condition data."""
+    with f carrying the initial-condition data.
+
+    K = m W + c W_c + k W_r is a `LinearOperator` applied in O(n) memory
+    (and O(n^2) time: one direct correlation). W is the trapezoid anti-diagonal: (W x)_p = w_p x_{n-p}. The
+    nested convolutions sum, over prefixes j, the outer trapezoid weight
+    (times t - tau_j for W_r) times the prefix pairing of nodes 0..j, which
+    pairs node p with node j - p at weight h, halved at p = 0 or j - p = 0.
+    So entry (p, q) comes from prefix j = p + q alone and reads
+    h s_p s_q a_{p+q}, s = (1/2, 1, ..., 1), and c W_c + k W_r applied to x
+    is h s times the correlation of the kernel a with s x."""
+    from scipy.sparse.linalg import LinearOperator  # kept out of `import convact`
+
     from .actions import gurtin_forcing  # cycle-free: actions imports lazily too
 
-    wmat = conv_end_matrix(grid)
-    w_const, w_ramp = prefix_conv_matrices(grid)
-    q = 0.5 * model.m * wmat + 0.5 * model.c * w_const + 0.5 * model.k * w_ramp
+    n = grid.n_steps
+    w = grid.trapezoid_weights()
+    kernel = model.c * w + model.k * (w * (grid.t_final - grid.nodes()))
+    kernel[0] = 0.0  # the prefix j = 0 pairs nothing
+    s = np.ones(n + 1)
+    s[0] = 0.5
+
+    def matvec(x):
+        x = np.ravel(x)
+        return model.m * (w * x[::-1]) + grid.h * s * np.correlate(kernel, s * x, "full")[n:]
+
     f = gurtin_forcing(model, u0, v0, grid)
-    r = -(wmat @ f.values)
-    return _symmetrize(q), r
+    return LinearOperator((n + 1, n + 1), matvec=matvec, dtype=float), -(w * f.values[::-1])

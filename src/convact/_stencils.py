@@ -40,8 +40,3 @@ def deriv1_stencil(n_steps: int, h: float) -> sparse.csr_array:
         [[-3.0, 4.0, -1.0], np.full(n - 1, -1.0), np.ones(n - 1), [3.0, -4.0, 1.0]]
     )
     return sparse.csr_array((coef / (2.0 * h), (rows, cols)), shape=(n + 1, n + 1))
-
-
-def deriv1_matrix(n_steps: int, h: float) -> np.ndarray:
-    """Matrix form of `deriv1` acting on node-value vectors."""
-    return deriv1_stencil(n_steps, h).toarray()

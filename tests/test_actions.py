@@ -5,15 +5,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_reference import dense_hamilton_system, dense_tonti_system
+from dense_reference import conv_end_matrix, dense_hamilton_system, dense_tonti_system
 
 from convact._discrete import (
+    _increments,
+    build_gurtin_system,
     build_hamilton_system,
     build_tonti_system,
-    increment_matrix,
-    prefix_conv_matrices,
 )
-from convact._stencils import deriv1, deriv1_matrix, deriv2
+from convact._stencils import deriv1, deriv1_stencil, deriv2
 from convact.actions import (
     ActionKind,
     action_value,
@@ -37,6 +37,7 @@ from convact.models import (
 from convact.stationarity import assemble, solve_stationary
 
 DAMPED = SdofModel(m=1.0, c=0.2, k=1.0)
+FORCED = SdofModel(m=1.3, c=0.4, k=2.5, forcing=HarmonicForcing(0.8, 1.7, 0.3))
 
 
 def zero_trajectory(grid):
@@ -233,8 +234,9 @@ def test_gurtin_variation_vanishes_at_exact_solution():
 
 
 @pytest.mark.parametrize("n", [2, 3, 9, 64])
-def test_prefix_conv_matrices_match_prefix_loop(n):
-    # reference: the sum over prefixes j of outer[j] times the trapezoid
+def test_gurtin_operator_matches_prefix_loop(n):
+    # reference: m W + c W_c + k W_r, with W_c and W_r the sums over prefixes
+    # j of outer[j] (times t - tau_j for W_r) times the trapezoid
     # anti-diagonal pairing of nodes 0..j
     g = Grid(3.0, n)
     outer = g.trapezoid_weights()
@@ -250,9 +252,30 @@ def test_prefix_conv_matrices_match_prefix_loop(n):
         block[idx, j - idx] = wj
         ref_const += outer[j] * block
         ref_ramp += outer[j] * (g.t_final - taus[j]) * block
-    w_const, w_ramp = prefix_conv_matrices(g)
-    assert w_const.tobytes() == ref_const.tobytes()
-    assert w_ramp.tobytes() == ref_ramp.tobytes()
+    ref = FORCED.m * conv_end_matrix(g) + FORCED.c * ref_const + FORCED.k * ref_ramp
+    K, r = build_gurtin_system(FORCED, g, 0.7, -0.2)
+    cols = K @ np.eye(n + 1)
+    assert np.max(np.abs(cols - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert cols.tobytes() == cols.T.tobytes()
+    x = np.random.default_rng(n).standard_normal(n + 1)
+    assert np.max(np.abs(K @ x - ref @ x)) <= 1e-15 * np.max(np.abs(ref @ x))
+    f = gurtin_forcing(FORCED, 0.7, -0.2, g)
+    assert r.tobytes() == (-(conv_end_matrix(g) @ f.values)).tobytes()
+
+
+def test_gurtin_variation_memory_is_linear():
+    # the dense K and its two Hankel forms took 164 kB per node at n = 4096
+    g = Grid(6.0, 4096)
+    traj = analytic_sdof(FORCED, 1.0, 0.0, g)
+    direction = sample(lambda t: math.sin(0.7 * t) + 0.3, g)
+    action_variation(ActionKind.GURTIN, FORCED, traj, direction, ics=(1.0, 0.0))  # imports
+    tracemalloc.start()
+    try:
+        action_variation(ActionKind.GURTIN, FORCED, traj, direction, ics=(1.0, 0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * g.n_nodes
 
 
 @pytest.mark.parametrize("n", [2, 3, 9, 64, 512])
@@ -268,11 +291,8 @@ def test_operator_matrices_match_entry_loops(n):
     ref_inc = np.zeros((n, n + 1))
     ref_inc[np.arange(n), np.arange(n)] = -1.0
     ref_inc[np.arange(n), np.arange(n) + 1] = 1.0
-    assert deriv1_matrix(n, h).tobytes() == ref_d1.tobytes()
-    assert increment_matrix(Grid(3.0, n)).tobytes() == ref_inc.tobytes()
-
-
-FORCED = SdofModel(m=1.3, c=0.4, k=2.5, forcing=HarmonicForcing(0.8, 1.7, 0.3))
+    assert deriv1_stencil(n, h).toarray().tobytes() == ref_d1.tobytes()
+    assert _increments(n).toarray().tobytes() == ref_inc.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 9, 64, 512])
@@ -319,9 +339,13 @@ def test_stencils_act_columnwise_on_histories(n):
 
 
 def test_import_leaves_out_scipy_interpolate():
-    code = "import sys, convact; print('scipy.interpolate' in sys.modules)"
+    # likewise scipy.sparse.linalg, which only GURTIN's operator needs
+    code = (
+        "import sys, convact; "
+        "print([m in sys.modules for m in ('scipy.interpolate', 'scipy.sparse.linalg')])"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"
 
 
 # ---------------------------------------------------------------------------

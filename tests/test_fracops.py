@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from dense_reference import gl_derivative_matrix
 
 from convact.fracops import (
     CompositionKind,
@@ -9,7 +10,6 @@ from convact.fracops import (
     composition_residual,
     frac_deriv,
     frac_integral,
-    gl_derivative_matrix,
     gl_weights,
     interior_slice,
 )

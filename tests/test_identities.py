@@ -285,15 +285,40 @@ def test_sweep_equals_per_cell_evaluation_bitwise():
             assert got.hex() == want.hex(), (kind, alpha, n, name)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+@pytest.mark.parametrize("vanish_ends", [True, False])
+def test_trig_profile_on_node_arrays_matches_scalar_loop(seed, vanish_ends):
+    # reference: the per-node sine series summed with math.sin, mode by mode
+    rng = np.random.default_rng(seed)
+    coeff = rng.uniform(-1.0, 1.0, 5)
+    affine = rng.uniform(-1.0, 1.0, 2) if not vanish_ends else np.zeros(2)
+    for g in (Grid(1.0, 33), Grid(2.5, 1024)):
+        t = g.t_final
+        ref = np.array([
+            affine[0] + affine[1] * tau / t
+            + sum(c / (m + 1.0) ** 2 * math.sin((m + 1.0) * math.pi * tau / t)
+                  for m, c in enumerate(coeff))
+            for tau in g.nodes()
+        ])
+        f = trig_profile(seed, t, vanish_ends=vanish_ends)
+        assert f(g.nodes()).tobytes() == ref.tobytes()
+        assert sample(f, g).values.tobytes() == ref.tobytes()
+
+
 def test_sweep_samples_three_profiles_per_grid(monkeypatch):
     import convact.identities as identities
 
     calls = []
 
-    def counting_sample(f, grid):
-        calls.append(grid.n_steps)
-        return sample(f, grid)
+    def counting_profile(*args, **kwargs):
+        f = trig_profile(*args, **kwargs)
 
-    monkeypatch.setattr(identities, "sample", counting_sample)
+        def counted(tau):
+            calls.append(np.size(tau) - 1)  # the node array of one grid
+            return f(tau)
+
+        return counted
+
+    monkeypatch.setattr(identities, "trig_profile", counting_profile)
     run_identity_sweep(list(IdentityKind), ALL_ALPHAS, [32, 64, 128])
     assert sorted(calls) == [32] * 3 + [64] * 3 + [128] * 3
