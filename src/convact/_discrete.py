@@ -5,11 +5,13 @@ histories, so each kind maps to a pair (K, r) with
 
     I(x) = 1/2 x^T K x + r^T x,        K = K^T exactly,
 
-over the full node-value vector x (no constraints applied here). K is a
-sparse matrix, except for GURTIN, whose nested convolutions couple every pair
-of nodes; its K is a matrix-free operator. The first variation in a
-direction g is then g^T (K x + r), and the stationarity module eliminates the
-fixed node-0 values to obtain the solvable system.
+over the full node-value vector x (no constraints applied here). The mixed
+kinds' K is a `MixedSystem`: banded in fold order, it is assembled straight
+into LAPACK band storage, with node 0's couplings kept apart in a dense slab.
+HAMILTON and TONTI have a sparse CSR K. GURTIN's nested convolutions couple
+every pair of nodes, so its K is a matrix-free operator. Each K has a matvec,
+so the first variation in a direction g is g^T (K x + r); the stationarity
+module eliminates the fixed node-0 values to obtain the solvable system.
 
 Discretization of the mixed action: the reduced scheme (default) evaluates
 every convolution EXACTLY on the piecewise-linear interpolants of the nodal
@@ -86,44 +88,47 @@ def _symmetrize(q: np.ndarray) -> np.ndarray:
     return q + q.T
 
 
-def _increments(n: int) -> sparse.csr_array:
-    """Sparse cell increments: (L x)_m = x_{m+1} - x_m for cells m = 0..n-1."""
-    return sparse.diags_array([-1.0, 1.0], offsets=[0, 1], shape=(n, n + 1), format="csr")
-
-
 def _anti_diagonal(values: np.ndarray, rows: int, cols: int, shift: int) -> sparse.coo_array:
     """values[i] at (i, shift - i) for i = 0..len(values) - 1."""
     i = np.arange(len(values))
     return sparse.coo_array((values, (i, shift - i)), shape=(rows, cols))
 
 
-def _relabel(op: sparse.sparray, rank: np.ndarray) -> sparse.coo_array:
-    """op with its row and column i moved to rank[i]."""
-    op = op.tocoo()
-    return sparse.coo_array((op.data, (rank[op.row], rank[op.col])), shape=op.shape)
-
-
-def rate_pair_matrix(grid: Grid) -> sparse.csr_array:
-    """Exact [x' * y'](t) for piecewise-linear x, y as a nodal quadratic form:
-    (1/h) sum_cells dx_m dy_{n-1-m}."""
+def rate_pair_entries(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact [x' * y'](t) for piecewise-linear x, y as (row, col, value)
+    triplets of the nodal form (1/h) sum_cells dx_m dy_{n-1-m}: node i pairs
+    with n - 1 - i and n + 1 - i at 1/h, and with n - i at -2/h (-1/h at the
+    end nodes)."""
     n = grid.n_steps
-    lmat = _increments(n)
-    pi = _anti_diagonal(np.full(n, 1.0 / grid.h), n, n, n - 1)
-    return (lmat.T @ pi @ lmat).tocsr()
+    inv_h = 1.0 / grid.h
+    i = np.arange(n + 1)
+    reflected = np.full(n + 1, -2.0 * inv_h)
+    reflected[[0, n]] = -inv_h
+    return (
+        np.concatenate([i[:-1], i, i[1:]]),
+        np.concatenate([n - 1 - i[:-1], n - i, n + 1 - i[1:]]),
+        np.concatenate([np.full(n, inv_h), reflected, np.full(n, inv_h)]),
+    )
 
 
-def rate_value_pair_matrix(grid: Grid) -> sparse.csr_array:
-    """Exact [x' * y](t) for piecewise-linear x, y as a nodal quadratic form:
-    sum_cells dx_m * (y at the midpoint of the reflected cell)."""
+def rate_value_pair_entries(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact [x' * y](t) for piecewise-linear x, y as (row, col, value)
+    triplets of sum_cells dx_m * (y at the midpoint of the reflected cell):
+    node i pairs with n - 1 - i at -1/2 and with n + 1 - i at 1/2; node 0
+    pairs with n at -1/2 and node n with 0 at 1/2."""
     n = grid.n_steps
-    half = np.full(n, 0.5)
-    emat = _anti_diagonal(half, n, n + 1, n - 1) + _anti_diagonal(half, n, n + 1, n)
-    return (_increments(n).T @ emat).tocsr()
+    i = np.arange(n)
+    return (
+        np.concatenate([i, [0, n], i + 1]),
+        np.concatenate([n - 1 - i, [n, 0], n - i]),
+        np.concatenate([np.full(n, -0.5), [-0.5, 0.5], np.full(n, 0.5)]),
+    )
 
 
-def gl_semi_pair_matrix(grid: Grid) -> sparse.csr_array:
+def gl_semi_pair_entries(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """[G x * G y](t) for the half-order GL derivative G = h^(-1/2) T(w),
-    paired by the trapezoid anti-diagonal W: G^T W G in closed form,
+    paired by the trapezoid anti-diagonal W, as (row, col, value) triplets of
+    G^T W G in closed form,
 
         S = Pi - 1/2 (e_0 v^T + v e_0^T),   v = (w_n, ..., w_0),
 
@@ -131,16 +136,21 @@ def gl_semi_pair_matrix(grid: Grid) -> sparse.csr_array:
     weights w are the coefficients of (1 - z)^(1/2), so their convolution
     square is the first difference (1, -1, 0, ...), and a Toeplitz matrix is
     persymmetric; h^(-1/2) squared cancels W's factor h. All of the GL memory
-    sits in row and column 0."""
+    sits in row and column 0, which hold Pi's row 0 minus v/2 (twice at
+    (0, 0)); elsewhere S is Pi."""
     n = grid.n_steps
-    v = gl_weights(0.5, n + 1).w[::-1]
-    pi = _anti_diagonal(np.ones(n + 1), n + 1, n + 1, n) - _anti_diagonal(
-        np.ones(n), n + 1, n + 1, n - 1
+    half_v = 0.5 * gl_weights(0.5, n + 1).w[::-1]
+    edge = np.zeros(n + 1)
+    edge[n], edge[n - 1] = 1.0, -1.0  # Pi's row 0, which is also its column 0
+    edge -= half_v
+    edge[0] -= half_v[0]
+    nodes = np.arange(n + 1)
+    plus, minus = nodes[1:n], nodes[1 : n - 1]  # rows of Pi's two diagonals off the edges
+    return (
+        np.concatenate([0 * nodes, nodes[1:], plus, minus]),
+        np.concatenate([nodes, 0 * nodes[1:], n - plus, n - 1 - minus]),
+        np.concatenate([edge, edge[1:], np.ones(n - 1), np.full(n - 2, -1.0)]),
     )
-    corner = sparse.coo_array(
-        (0.5 * v, (np.zeros(n + 1, dtype=int), np.arange(n + 1))), shape=(n + 1, n + 1)
-    )
-    return (pi - corner - corner.T).tocsr()
 
 
 def reflected_load_weights(f_vals: np.ndarray, h: float) -> np.ndarray:
@@ -178,9 +188,48 @@ def rate_value_pair_end(x: np.ndarray, y: np.ndarray, h: float) -> float:
     return float(np.dot(dx, mid[::-1]))
 
 
+def band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """K x for K in the band storage of `MixedSystem.band`, one diagonal at a
+    time in O(N) memory. Each row adds its terms in increasing column order,
+    as a CSR product does."""
+    b = len(band) // 2
+    n = band.shape[1]
+    y = np.zeros(n)
+    for o, diagonal in zip(range(b, -b - 1, -1), band[::-1]):  # K[j + o, j]
+        cols = slice(max(-o, 0), n - max(o, 0))
+        y[max(o, 0) : n + min(o, 0)] += diagonal[cols] * x[cols]
+    return y
+
+
+@dataclass(frozen=True)
+class MixedSystem:
+    """K of the mixed action over all nodal values in `DofLayout` order, in
+    three parts, for w values at node 0 and N free values:
+
+    - `block` (w, w): K among the node-0 values;
+    - `slab` (N, w), C order: the free values' coupling to node 0;
+    - `band` (2b + 1, N): K among the free values in LAPACK's general band
+      storage, band[b + i - j, j] = K[i, j] for |i - j| <= b, the
+      half-bandwidth, so row b + o holds the diagonal i - j = o.
+    """
+
+    block: np.ndarray
+    slab: np.ndarray
+    band: np.ndarray
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """K x over the full vector, node 0's values first."""
+        w = self.block.shape[0]
+        x0, free = x[:w], x[w:]
+        return np.concatenate([
+            self.block @ x0 + free @ self.slab,
+            self.slab @ x0 + band_matvec(self.band, free),
+        ])
+
+
 def build_mca_system(
     model: MdofModel, grid: Grid, scheme: str = "reduced"
-) -> tuple[sparse.csr_array, np.ndarray, DofLayout]:
+) -> tuple[MixedSystem, np.ndarray, DofLayout]:
     """K, r of the mixed convolved action over all nodal values of (u, J).
 
     Terms of the functional, with * the end-time convolution pairing:
@@ -193,16 +242,21 @@ def build_mca_system(
 
     Every term is a model matrix times a time operator, so K is a sum of
     Kronecker products, symmetrized:
-        K = sym(R (x) P_R + S (x) P_S + E (x) P_S),
+        K = q + q^T,   q = R (x) P_R + S (x) P_S + E (x) P_S,
         P_R = [[M/2, 0], [0, -A/2]],   P_S = [[C/2, 0], [B^T, 0]],
     over the (u, J) components of a node, with R the rate pairing, S the
-    scheme's semi-derivative pairing (`rate_value_pair_matrix` or
-    `gl_semi_pair_matrix`) and E = e_0 e_n^T the reduced scheme's corner
-    x(0) y(t) (absent in the direct scheme). Each time operator's rows and
-    columns are relabelled into the fold order of `DofLayout`, so K and r are
-    packed node by node with node 0 first. Every time operator is sparse, so
-    K is a sparse CSR matrix with O(n) nonzeros; its entries sum their
-    products in term order, as a dense block-by-block sum would.
+    scheme's semi-derivative pairing (`rate_value_pair_entries` or
+    `gl_semi_pair_entries`) and E = e_0 e_n^T the reduced scheme's corner
+    x(0) y(t) (absent in the direct scheme). Each time operator is a few
+    (row, col, value) triplets; its nodes are mapped to their fold positions
+    and each value times each nonzero of P is added, in term order, straight
+    into the storage of `MixedSystem`: entries in node 0's row or column into
+    dense slabs, the free block into a band. K = q + q^T is then formed at
+    the positions q touched and their transposes, and the band is trimmed to
+    the nonzero half-bandwidth; no temporary is larger than the band or the
+    number of products. Every entry sums its products in term order, as a
+    dense block-by-block sum would, and all of the direct scheme's GL memory
+    lands in the slab.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
@@ -210,25 +264,59 @@ def build_mca_system(
     d, e = model.n_dof, model.n_el
     layout = DofLayout(n1, d, e)
     fold = layout.nodes()
-    u, j = slice(0, d), slice(d, d + e)
-    p_rate = np.zeros((d + e, d + e))
-    p_rate[u, u], p_rate[j, j] = 0.5 * model.M, -0.5 * model.A
-    p_semi = np.zeros((d + e, d + e))
-    p_semi[u, u], p_semi[j, u] = 0.5 * model.C, model.B.T
+    w = layout.width
+    u, el = slice(0, d), slice(d, w)
+    p_rate = np.zeros((w, w))
+    p_rate[u, u], p_rate[el, el] = 0.5 * model.M, -0.5 * model.A
+    p_semi = np.zeros((w, w))
+    p_semi[u, u], p_semi[el, u] = 0.5 * model.C, model.B.T
 
-    semi = rate_value_pair_matrix(grid) if scheme == "reduced" else gl_semi_pair_matrix(grid)
-    terms = [(rate_pair_matrix(grid), p_rate), (semi, p_semi)]
+    semi = rate_value_pair_entries(grid) if scheme == "reduced" else gl_semi_pair_entries(grid)
+    terms = [(rate_pair_entries(grid), p_rate), (semi, p_semi)]
     if scheme == "reduced":
-        terms.append((sparse.csr_array(([1.0], ([0], [n1 - 1])), shape=(n1, n1)), p_semi))
+        terms.append(((np.array([0]), np.array([n1 - 1]), np.array([1.0])), p_semi))
     rank = np.argsort(fold)  # the fold position of each node
-    q = sum(sparse.kron(_relabel(op, rank), coef) for op, coef in terms)
-    k_full = _symmetrize(q).tocsr()
-    k_full.eliminate_zeros()  # drops the -0.0 products of zero coefficients
+    # a bound on |i - j| over the free block; the band is trimmed below
+    reach = w - 1 + w * max(
+        int(np.max(np.abs(rank[rows] - rank[cols])[(rows > 0) & (cols > 0)], initial=0))
+        for (rows, cols, _), _ in terms
+    )
+    n_free = layout.size - w
+    q = np.zeros((2 * reach + 1, n_free))  # q's free block, stored as `band`
+    q_flat = q.ravel()  # q[reach + i - j, j] is q_flat[(reach + i - j) * n_free + j]
+    q_col0 = np.zeros((layout.size, w))
+    q_row0 = np.zeros((w, layout.size))
+    touched = []  # the flat positions of q's free entries and of their transposes
+    for (rows, cols, vals), coef in terms:
+        a, b = np.nonzero(coef)  # each op_ij * P_ab at its packed (row, col)
+        row = ((w * rank[rows])[:, None] + a).ravel()
+        col = ((w * rank[cols])[:, None] + b).ravel()
+        val = (vals[:, None] * coef[a, b]).ravel()
+        free = (row >= w) & (col >= w)
+        i, j = row[free] - w, col[free] - w
+        pos = (reach + i - j) * n_free + j
+        q_flat[pos] += val[free]  # no position repeats within a term
+        touched.append((pos, (reach + j - i) * n_free + i))
+        at = col < w
+        q_col0[row[at], col[at]] += val[at]
+        at = row < w
+        q_row0[row[at], col[at]] += val[at]
+    # K = q + q^T at every free position q touched and at its transpose
+    pos, pos_t = (np.concatenate(part) for part in zip(*touched))
+    k_free = q_flat[pos] + q_flat[pos_t]
+    q_flat[pos] = q_flat[pos_t] = k_free
+    q_col0 += q_row0.T  # and its node-0 columns
+    half = int(np.max(np.abs(pos // n_free - reach)[k_free != 0.0], initial=0))
+    system = MixedSystem(
+        block=q_col0[:w],
+        slab=q_col0[w:],
+        band=q[reach - half : reach + half + 1],
+    )
 
-    r = np.zeros((n1, d + e))
+    r = np.zeros((n1, w))
     r[:, u] -= reflected_load_weights(model.forcing_history(grid.nodes()), grid.h)
     r[-1, u] -= model.j_hat_0  # the end node
-    return k_full, r[fold].ravel(), layout
+    return system, r[fold].ravel(), layout
 
 
 def build_hamilton_system(

@@ -291,12 +291,14 @@ def action_variation(
     if kind in MIXED_KINDS:
         from ._discrete import build_mca_system
 
-        kmat, r, layout = build_mca_system(model, traj.grid, scheme)
+        system, r, layout = build_mca_system(model, traj.grid, scheme)
         x, g = layout.pack(traj.u, traj.J), layout.pack(direction.u, direction.J)
+        kx = system.matvec(x)
     else:
         kmat, r = _displacement_system(kind, model, traj.grid, ics)
         x, g = _signal_of(traj).values, _signal_of(direction).values
-    return float(g @ (kmat @ x + r))
+        kx = kmat @ x
+    return float(g @ (kx + r))
 
 
 def el_residuals(kind: ActionKind, model, traj, *, ics=None) -> ResidualReport:

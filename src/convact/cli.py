@@ -6,13 +6,14 @@ declared once, as a flag with its converter and default. A config file (JSON)
 is turned into flag tokens placed ahead of the command line, so its values
 are checked exactly like the flags and the flags override them; unknown
 config keys are rejected. Output files are written atomically (temp + rename)
-into --output-dir, which defaults to the CONVACT_OUTPUT_DIR environment
-variable or the working directory.
+into --output-dir (flag, then config key), else the CONVACT_OUTPUT_DIR
+environment variable at the time of the call, else the working directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -321,8 +322,7 @@ def cmd_actions(args: argparse.Namespace) -> int:
 
 def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--config", help="JSON config file; flags override its keys")
-    sub.add_argument("--output-dir", default=os.environ.get(OUTPUT_DIR_ENV, "."),
-                     help=f"default ${OUTPUT_DIR_ENV} or '.'")
+    sub.add_argument("--output-dir", help=f"default ${OUTPUT_DIR_ENV} or '.'")
 
 
 def _add_oscillator(sub: argparse.ArgumentParser):
@@ -345,6 +345,7 @@ def _add_scheme(sub: argparse.ArgumentParser):
     sub.add_argument("--scheme", choices=["reduced", "direct"], default="reduced")
 
 
+@functools.cache  # one parser per process: reading the environment is left to `main`
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="convact",
@@ -422,6 +423,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:  # after the subcommand argv[0], ahead of the flags, which win
             args = parser.parse_args(argv[:1] + _config_flags(args) + argv[1:])
+        if args.output_dir is None:
+            args.output_dir = os.environ.get(OUTPUT_DIR_ENV, ".")
         return _HANDLERS[args.command](args)
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

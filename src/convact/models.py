@@ -120,8 +120,8 @@ def _min_eig(mat: np.ndarray) -> float:
 @dataclass(frozen=True)
 class MdofModel:
     """Multi-dof model: nodal mass M and damping C, element flexibility blocks
-    A (block diagonal), equilibrium matrix B mapping element force impulses to
-    nodal equations."""
+    A_blocks, assembled once into the block-diagonal A, and equilibrium matrix
+    B mapping element force impulses to nodal equations."""
 
     M: np.ndarray
     C: np.ndarray
@@ -129,6 +129,7 @@ class MdofModel:
     B: np.ndarray
     forcing: HarmonicForcing | None = None
     j_hat_0: np.ndarray | None = None
+    A: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         M = np.asarray(self.M, dtype=float)
@@ -165,9 +166,11 @@ class MdofModel:
                 raise ValueError(
                     f"forcing.amplitude: shape {amp_shape}, expected a scalar or ({n_dof},)"
                 )
-        for arr in (M, C, B, j0) + blocks:
+        A = block_diag(*blocks)
+        for arr in (M, C, B, j0, A) + blocks:
             arr.setflags(write=False)
         object.__setattr__(self, "M", M)
+        object.__setattr__(self, "A", A)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "A_blocks", blocks)
@@ -180,10 +183,6 @@ class MdofModel:
     @property
     def n_el(self) -> int:
         return self.B.shape[1]
-
-    @property
-    def A(self) -> np.ndarray:
-        return block_diag(*self.A_blocks)
 
     def reduced_stiffness(self) -> np.ndarray:
         """Displacement-form stiffness B A^-1 B^T."""
@@ -236,8 +235,8 @@ class Trajectory:
                 [f"u{i}" for i in range(self.u.shape[1])]
                 + [f"J{e}" for e in range(self.J.shape[1])]
             )
-        fmt = ",".join(["%.17g"] * table.shape[1])
-        return "\n".join([header] + [fmt % tuple(row) for row in table.tolist()]) + "\n"
+        fmt = "\n".join([",".join(["%.17g"] * table.shape[1])] * table.shape[0])
+        return f"{header}\n{fmt % tuple(table.ravel().tolist())}\n"
 
 
 def mixed_initials(model: SdofModel, u0: float, v0: float) -> tuple[float, float]:

@@ -10,11 +10,14 @@ into the linear term. The assembled quadratic form is symmetric but
 indefinite — the action is stationary, not minimal.
 
 The solve is O(N) in time and memory for both schemes. K has a few nonzeros
-per row, and in fold order they all lie within a narrow band, so K is
-factored as packed, with no permutation, by LAPACK's banded LU (`dgbtrf`).
-Its 1-norm condition number is estimated by Hager's method over banded
-solves with K and K^T, and a system whose estimate exceeds CONDITION_LIMIT
-is refused.
+per row, and in fold order they all lie within a narrow band, so
+`build_mca_system` writes K straight into band storage, and the solve copies
+that band into LAPACK's array and factors it in place, with no permutation,
+by banded LU (`dgbtrf`). The 1-norm of K, its largest entry and the gradient
+K d + r are read off the same band. The 1-norm condition number is estimated
+by Hager's method over banded solves with K and K^T, and a system whose
+estimate exceeds CONDITION_LIMIT is refused. No scipy.sparse code runs on
+this path; `QuadraticForm.K` builds a CSR copy only when asked.
 
 The damped oscillator (MCA_SDOF) is solved as the one-dof case of the
 multi-dof system: `assemble` lifts the model through `sdof_as_mdof`, and the
@@ -31,7 +34,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import lapack
 
-from ._discrete import DofLayout, build_mca_system
+from ._discrete import DofLayout, band_matvec, build_mca_system
 from .actions import ActionKind
 from .grid import Grid
 from .models import (
@@ -70,11 +73,12 @@ class QuadraticForm:
     I(d) = 1/2 d^T K d + r^T d + const, with d the values at nodes 1..n in
     the packing order of `layout` (fold order, components side by side) and
     the node-0 values eliminated and recorded in `node0`, which `layout`
-    packs first. K may be given dense or sparse; it is kept as a sparse CSR
-    matrix.
+    packs first. K is held as `band`, its (2b + 1, N) band storage
+    band[b + i - j, j] = K[i, j] (see `MixedSystem`); `K` builds it as a
+    sparse CSR matrix on demand.
     """
 
-    K: sparse.csr_array = field(repr=False)
+    band: np.ndarray = field(repr=False)
     r: np.ndarray = field(repr=False)
     node0: np.ndarray
     layout: DofLayout
@@ -83,31 +87,45 @@ class QuadraticForm:
     scheme: str
 
     def __post_init__(self):
-        K = sparse.csr_array(self.K)
-        object.__setattr__(self, "K", K)
+        band = np.ascontiguousarray(self.band, dtype=float)
+        object.__setattr__(self, "band", band)
         n_fixed = self.layout.width
         n_free = self.layout.size - n_fixed
-        shapes = (K.shape, self.r.shape, np.shape(self.node0))
-        if shapes != ((n_free, n_free), (n_free,), (n_fixed,)):
+        shapes = (band.shape, self.r.shape, np.shape(self.node0))
+        if len(band) % 2 == 0 or shapes != ((len(band), n_free), (n_free,), (n_fixed,)):
             raise ValueError(
-                f"K, r, node0 shapes {shapes} do not match the layout's "
+                f"band, r, node0 shapes {shapes} do not match the layout's "
                 f"{n_free} free values and {n_fixed} node-0 values"
             )
-        scale = max(_max_abs(K), 1.0)
-        if _max_abs(K - K.T) > 1e-12 * scale:
+        b = len(band) // 2  # K[j + o, j] = band[b + o, j] against K[j, j + o]
+        asymmetry = max(
+            (_max_abs(band[b + o, : n_free - o] - band[b - o, o:]) for o in range(1, b + 1)),
+            default=0.0,
+        )
+        if asymmetry > 1e-12 * max(_max_abs(band), 1.0):
             raise ValueError("K must be symmetric to roundoff")
 
     @property
     def n_free(self) -> int:
-        return self.K.shape[0]
+        return self.band.shape[1]
+
+    @property
+    def K(self) -> sparse.csr_array:
+        """K as a CSR matrix without stored zeros."""
+        width, n = self.band.shape
+        columns = self.band.T  # columns[j, r] = K[j + r - b, j]
+        j, r = np.nonzero(columns)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(j, minlength=n))])
+        csc = sparse.csc_array((columns[j, r], j + r - width // 2, indptr), shape=(n, n))
+        return csc.tocsr()
 
     def full_vector(self, d_free: np.ndarray) -> np.ndarray:
         """Reassemble the all-nodes vector from free values plus node-0 data."""
         return np.concatenate([self.node0, d_free])
 
 
-def _max_abs(mat: sparse.csr_array) -> float:
-    return float(np.max(np.abs(mat.data), initial=0.0))
+def _max_abs(values: np.ndarray) -> float:
+    return float(max(np.max(values, initial=0.0), -np.min(values, initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -140,14 +158,10 @@ def assemble(
     else:
         raise ValueError(f"assemble supports the mixed kinds only, got {kind!r}")
     node0 = np.concatenate(mdof_mixed_initials(model, u0, v0))
-    k_full, r_full, layout = build_mca_system(model, grid, scheme)
-    w = layout.width
-    # the node-0 columns as a dense (N, w) slab: BLAS forms its product with
-    # node0, so r is bitwise the r of the same columns stored densely
-    r = r_full[w:] + k_full[w:, :w].toarray() @ node0
-    K = k_full[w:, w:]
+    system, r_full, layout = build_mca_system(model, grid, scheme)
+    r = r_full[layout.width :] + system.slab @ node0
     return QuadraticForm(
-        K=K, r=r, node0=node0, layout=layout, grid=grid, kind=kind, scheme=scheme
+        band=system.band, r=r, node0=node0, layout=layout, grid=grid, kind=kind, scheme=scheme
     )
 
 
@@ -156,17 +170,6 @@ def _traj_from_free(qf: QuadraticForm, d_free: np.ndarray) -> Trajectory:
     if qf.kind is ActionKind.MCA_SDOF:
         return Trajectory(qf.grid, u[:, 0], J[:, 0])
     return Trajectory(qf.grid, u, J)
-
-
-def _band_storage(K: sparse.csr_array) -> tuple[np.ndarray, int]:
-    """K in LAPACK's `dgbtrf` band layout (kl = ku rows of fill room above
-    the band), and its half-bandwidth."""
-    coo = K.tocoo()
-    i, j = coo.row, coo.col
-    band = int(np.max(np.abs(i - j), initial=0))
-    ab = np.zeros((3 * band + 1, K.shape[0]), order="F")
-    ab[2 * band + i - j, j] = coo.data
-    return ab, band
 
 
 def _inverse_norm_estimate(solve, n: int) -> float:
@@ -206,8 +209,11 @@ def solve_stationary(qf: QuadraticForm) -> SolveReport:
     CONDITION_LIMIT, the half-precision budget of the double-precision solve.
     """
     start = time.perf_counter()
-    ab, band = _band_storage(qf.K)
-    lu, ipiv, info = lapack.dgbtrf(ab, band, band)
+    width, n_free = qf.band.shape
+    band = width // 2
+    ab = np.zeros((3 * band + 1, n_free), order="F")  # band rows of fill room on top
+    ab[band:] = qf.band
+    lu, ipiv, info = lapack.dgbtrf(ab, band, band, overwrite_ab=1)
     if info > 0:
         raise SingularSystemError(
             f"exactly singular pivot in {qf.kind.value} system "
@@ -222,8 +228,8 @@ def solve_stationary(qf: QuadraticForm) -> SolveReport:
             raise RuntimeError(f"dgbtrs failed with argument error {info}")
         return x
 
-    anorm = float(np.max(abs(qf.K).sum(axis=0), initial=0.0))
-    condition = anorm * _inverse_norm_estimate(solve, qf.n_free)
+    anorm = float(np.max(np.abs(qf.band).sum(axis=0)))
+    condition = anorm * _inverse_norm_estimate(solve, n_free)
     if condition > CONDITION_LIMIT:
         n_max = int(qf.grid.n_steps * math.sqrt(CONDITION_LIMIT / condition))
         raise SingularSystemError(
@@ -233,8 +239,8 @@ def solve_stationary(qf: QuadraticForm) -> SolveReport:
             f"admissible n_steps at this t is {n_max}"
         )
     d = solve(-qf.r, 0)
-    grad = qf.K @ d + qf.r
-    scale = max(_max_abs(qf.K) * max(float(np.max(np.abs(d))), 1.0),
+    grad = band_matvec(qf.band, d) + qf.r
+    scale = max(_max_abs(qf.band) * max(float(np.max(np.abs(d))), 1.0),
                 float(np.max(np.abs(qf.r))), 1.0)
     gradient_norm = float(np.max(np.abs(grad))) / scale
     wall = time.perf_counter() - start

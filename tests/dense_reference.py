@@ -58,6 +58,32 @@ def dense_gl_semi_pair_matrix(grid):
     return gmat.T @ conv_end_matrix(grid) @ gmat
 
 
+def entries_toarray(entries, n_nodes):
+    """The dense matrix of a time operator's (row, col, value) triplets, whose
+    positions must be distinct: the library adds them with one fancy-index
+    add per term, which would drop a repeated position."""
+    rows, cols, vals = entries
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
+    out = np.zeros((n_nodes, n_nodes))
+    out[rows, cols] = vals
+    return out
+
+
+def system_toarray(system):
+    """The dense K of a `MixedSystem`: node 0's block and slab, then the band."""
+    w = system.block.shape[0]
+    width, n = system.band.shape
+    K = np.zeros((n + w, n + w))
+    K[:w, :w] = system.block
+    K[w:, :w] = system.slab
+    K[:w, w:] = system.slab.T
+    col = np.broadcast_to(np.arange(n), (width, n))
+    row = col + np.arange(width)[:, None] - width // 2
+    inside = (row >= 0) & (row < n)
+    K[w + row[inside], w + col[inside]] = system.band[inside]
+    return K
+
+
 def component_major_index(layout):
     """Entry p is the component-major index of the value the layout packs
     p-th: component c of node i sits at c * n_nodes + i."""

@@ -5,13 +5,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_reference import conv_end_matrix, dense_hamilton_system, dense_tonti_system
+from dense_reference import (
+    conv_end_matrix,
+    dense_hamilton_system,
+    dense_tonti_system,
+    entries_toarray,
+)
 
 from convact._discrete import (
-    _increments,
     build_gurtin_system,
     build_hamilton_system,
     build_tonti_system,
+    rate_pair_entries,
+    rate_value_pair_entries,
 )
 from convact._stencils import deriv1, deriv1_stencil, deriv2
 from convact.actions import (
@@ -291,8 +297,17 @@ def test_operator_matrices_match_entry_loops(n):
     ref_inc = np.zeros((n, n + 1))
     ref_inc[np.arange(n), np.arange(n)] = -1.0
     ref_inc[np.arange(n), np.arange(n) + 1] = 1.0
+    ref_pi = np.zeros((n, n))
+    ref_pi[np.arange(n), n - 1 - np.arange(n)] = 1.0 / h
+    ref_mid = np.zeros((n, n + 1))
+    ref_mid[np.arange(n), n - 1 - np.arange(n)] = 0.5
+    ref_mid[np.arange(n), n - np.arange(n)] = 0.5
     assert deriv1_stencil(n, h).toarray().tobytes() == ref_d1.tobytes()
-    assert _increments(n).toarray().tobytes() == ref_inc.tobytes()
+    g = Grid(3.0, n)
+    rate = entries_toarray(rate_pair_entries(g), n + 1)
+    assert rate.tobytes() == (ref_inc.T @ ref_pi @ ref_inc).tobytes()
+    rate_value = entries_toarray(rate_value_pair_entries(g), n + 1)
+    assert rate_value.tobytes() == (ref_inc.T @ ref_mid).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 9, 64, 512])

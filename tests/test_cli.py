@@ -217,6 +217,34 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "sdof_solved.csv").exists()
 
 
+def test_output_dir_env_var_set_after_a_first_call(tmp_path, monkeypatch):
+    # the parser is built once per process; the variable is read per call
+    monkeypatch.delenv("CONVACT_OUTPUT_DIR", raising=False)
+    assert main(["sdof", "--n", "32", "--output-dir", str(tmp_path / "flag")]) == 0
+    monkeypatch.setenv("CONVACT_OUTPUT_DIR", str(tmp_path / "late"))
+    assert main(["sdof", "--n", "32"]) == 0
+    assert (tmp_path / "late" / "sdof_solved.csv").exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output_dir": str(tmp_path / "config")}))
+    assert main(["sdof", "--n", "32", "--config", str(cfg)]) == 0  # config beats the variable
+    assert (tmp_path / "config" / "sdof_solved.csv").exists()
+
+
+def test_config_run_then_flags_run_match_each_run_alone(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 48, "c": 0.5, "scheme": "direct", "u0": 0.3}))
+    config_run = ("sdof", "--config", str(cfg))
+    flags_run = ("sdof", "--n", "40")
+    together = [_outcome(tmp_path, "a", capsys, *config_run),
+                _outcome(tmp_path, "b", capsys, *flags_run)]
+    alone = []
+    for name, argv in (("c", config_run), ("d", flags_run)):
+        cli.build_parser.cache_clear()
+        alone.append(_outcome(tmp_path, name, capsys, *argv))
+    assert together == alone
+    assert together[0][0] == 0 and together[0][1] != together[1][1]
+
+
 def test_usage_error_exit_code():
     assert main(["sdof", "--n", "notanumber"]) == 1
 

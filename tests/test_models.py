@@ -317,6 +317,18 @@ def test_mdof_model_validation_messages():
     assert scalar.forcing_history(np.array([0.0, 1.0])).shape == (2, 2)
 
 
+def test_mdof_flexibility_is_assembled_once_and_read_only():
+    from dataclasses import replace
+
+    model = build_shear_building(3, 1.0, 10.0, 0.4)
+    assert model.A is model.A
+    np.testing.assert_array_equal(model.A, np.diag([0.1, 0.1, 0.1]))
+    with pytest.raises(ValueError, match="read-only"):
+        model.A[0, 0] = 1.0
+    stiffer = replace(model, A_blocks=(np.array([[0.05]]),) * 3)
+    np.testing.assert_array_equal(stiffer.A, np.diag([0.05, 0.05, 0.05]))
+
+
 def test_mdof_json_roundtrip():
     model = build_shear_building(
         3, 1.0, 10.0, 0.2, forcing=HarmonicForcing(np.array([1.0, 0.0, 0.0]), 2.0, 0.1)

@@ -1,5 +1,6 @@
 import math
-
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,11 +11,13 @@ from dense_reference import (
     dense_gl_semi_pair_matrix,
     dense_mca_system,
     dense_solve,
+    entries_toarray,
+    system_toarray,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from convact._discrete import DofLayout, build_mca_system, gl_semi_pair_matrix
+from convact._discrete import DofLayout, build_mca_system, gl_semi_pair_entries
 from convact.actions import ActionKind, action_value, action_variation, el_residuals
 from convact.grid import Grid
 from convact.models import (
@@ -180,7 +183,7 @@ def test_singular_system_raises():
     with pytest.raises(SingularSystemError, match="singular"):
         solve_stationary(
             QuadraticForm(
-                K=np.zeros((1, 1)),
+                band=np.zeros((1, 1)),
                 r=np.zeros(1),
                 node0=np.zeros(1),
                 layout=layout,
@@ -195,7 +198,7 @@ def test_quadratic_form_validation():
     layout = DofLayout(2, 1, 0)
     with pytest.raises(ValueError, match="symmetric"):
         QuadraticForm(
-            K=np.array([[1.0, 2.0], [0.0, 1.0]]),
+            band=np.array([[0.0, 2.0], [1.0, 1.0], [0.0, 0.0]]),  # K = [[1, 2], [0, 1]]
             r=np.zeros(2),
             node0=np.zeros(1),
             layout=DofLayout(3, 1, 0),
@@ -205,7 +208,7 @@ def test_quadratic_form_validation():
         )
     with pytest.raises(ValueError, match="free values"):
         QuadraticForm(
-            K=np.eye(2),
+            band=np.ones((1, 2)),
             r=np.zeros(2),
             node0=np.zeros(1),
             layout=DofLayout(4, 1, 0),
@@ -247,11 +250,11 @@ def test_coupled_assembly_matches_action_value(scheme, seed):
     rng = np.random.default_rng(seed)
     model = _random_coupled_model(rng)
     g = Grid(2.0, 24)
-    K, r, layout = build_mca_system(model, g, scheme)
+    system, r, layout = build_mca_system(model, g, scheme)
     traj = Trajectory(g, rng.standard_normal((25, 2)), rng.standard_normal((25, 2)))
     x = layout.pack(traj.u, traj.J)
     value = action_value(ActionKind.MCA_MDOF, model, traj, scheme=scheme)
-    assert 0.5 * x @ K @ x + r @ x == pytest.approx(value, rel=1e-12)
+    assert 0.5 * x @ system.matvec(x) + r @ x == pytest.approx(value, rel=1e-12)
 
 
 @pytest.mark.parametrize("scheme", ["reduced", "direct"])
@@ -326,10 +329,10 @@ def test_reduced_assembly_is_bitwise_the_dense_block_sum(n):
     g = Grid(6.0, n)
     # equal up to the permutation from component-major to fold order
     for name, model in _models_for_reference():
-        K, r, layout = build_mca_system(model, g)
+        system, r, layout = build_mca_system(model, g)
         order = component_major_index(layout)
         K_ref, r_ref = dense_mca_system(model, g)
-        assert K.toarray().tobytes() == K_ref[np.ix_(order, order)].tobytes(), name
+        assert system_toarray(system).tobytes() == K_ref[np.ix_(order, order)].tobytes(), name
         assert r.tobytes() == r_ref[order].tobytes(), name
         u0 = np.linspace(0.3, -0.2, model.n_dof)
         qf = assemble(ActionKind.MCA_MDOF, model, g, u0, 0.5 * u0)
@@ -342,20 +345,59 @@ def test_reduced_assembly_is_bitwise_the_dense_block_sum(n):
 def test_direct_scheme_matches_dense_gl_product(n):
     g = Grid(6.0, n)
     ref = dense_gl_semi_pair_matrix(g)
-    gap = np.max(np.abs(gl_semi_pair_matrix(g).toarray() - ref))
+    gap = np.max(np.abs(entries_toarray(gl_semi_pair_entries(g), n + 1) - ref))
     assert gap <= 1e-15 * np.max(np.abs(ref))
     for name, model in _models_for_reference():
-        K, r, layout = build_mca_system(model, g, "direct")
+        system, r, layout = build_mca_system(model, g, "direct")
         order = component_major_index(layout)
         K_ref, r_ref = dense_mca_system(model, g, "direct")
         K_ref = K_ref[np.ix_(order, order)]
-        assert np.max(np.abs(K.toarray() - K_ref)) <= 1e-15 * np.max(np.abs(K_ref)), name
+        K = system_toarray(system)
+        assert np.max(np.abs(K - K_ref)) <= 1e-15 * np.max(np.abs(K_ref)), name
         np.testing.assert_array_equal(r, r_ref[order])
         u0 = np.linspace(0.3, -0.2, model.n_dof)
         qf = assemble(ActionKind.MCA_MDOF, model, g, u0, 0.5 * u0, "direct")
         K_free, r_free = dense_free_system(model, g, qf.node0, order, "direct")
         assert np.max(np.abs(qf.K.toarray() - K_free)) <= 1e-15 * np.max(np.abs(K_free)), name
         assert np.max(np.abs(qf.r - r_free)) <= 1e-15 * np.max(np.abs(r_free)), name
+
+
+@pytest.mark.parametrize("scheme", ["reduced", "direct"])
+@pytest.mark.parametrize("n", [2, 9, 64, 256])
+def test_matvec_matches_the_dense_product(n, scheme):
+    g = Grid(6.0, n)
+    rng = np.random.default_rng(n)
+    for name, model in _models_for_reference():
+        system, _, layout = build_mca_system(model, g, scheme)
+        order = component_major_index(layout)
+        K_ref = dense_mca_system(model, g, scheme)[0][np.ix_(order, order)]
+        x = rng.standard_normal(layout.size)
+        ref = K_ref @ x
+        assert np.max(np.abs(system.matvec(x) - ref)) <= 1e-15 * np.max(np.abs(ref)), name
+
+
+def test_mixed_solve_and_variation_enter_no_scipy_sparse():
+    sparse_dir = f"{os.sep}scipy{os.sep}sparse{os.sep}"
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and sparse_dir in frame.f_code.co_filename:
+            entered.append(f"{frame.f_code.co_filename}:{frame.f_code.co_name}")
+
+    u0 = np.array([0.5, 0.2, -0.1])
+    g = Grid(6.0, 64)
+    traj = mdof_oracle(SHEAR3, u0, np.zeros(3), g)
+    tau = g.nodes()[:, None]
+    direction = Trajectory(g, np.sin(tau * [1.0, 2.0, 3.0]), tau * [1.0, -1.0, 0.5])
+    sys.setprofile(profile)
+    try:
+        for scheme in ("reduced", "direct"):
+            solve_stationary(assemble(ActionKind.MCA_SDOF, FORCED, Grid(10.0, 64), 1.0, 0.0, scheme))
+            solve_stationary(assemble(ActionKind.MCA_MDOF, SHEAR3, g, u0, np.zeros(3), scheme))
+        action_variation(ActionKind.MCA_MDOF, SHEAR3, traj, direction, ics=(u0, np.zeros(3)))
+    finally:
+        sys.setprofile(None)
+    assert entered == []
 
 
 def test_fold_order_pairs_each_node_with_its_reflection():
