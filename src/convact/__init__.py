@@ -53,12 +53,10 @@ from .models import (
     analytic_sdof,
     build_bar_1d,
     build_shear_building,
-    lift_to_mixed,
     mdof_from_json,
     mdof_mixed_initials,
     mdof_oracle,
     mdof_to_json,
-    mixed_initials,
     sdof_as_mdof,
 )
 from .stationarity import (

@@ -251,10 +251,10 @@ def build_mca_system(
     (row, col, value) triplets; its nodes are mapped to their fold positions
     and each value times each nonzero of P is added, in term order, straight
     into the storage of `MixedSystem`: entries in node 0's row or column into
-    dense slabs, the free block into a band. K = q + q^T is then formed at
-    the positions q touched and their transposes, and the band is trimmed to
-    the nonzero half-bandwidth; no temporary is larger than the band or the
-    number of products. Every entry sums its products in term order, as a
+    dense slabs, the free block into a band. K = q + q^T is then formed in
+    place, one pair of mirrored diagonals at a time, and the band is trimmed
+    to the nonzero half-bandwidth; no temporary is larger than the band or
+    than one term's products. Every entry sums its products in term order, as a
     dense block-by-block sum would, and all of the direct scheme's GL memory
     lands in the slab.
     """
@@ -286,7 +286,6 @@ def build_mca_system(
     q_flat = q.ravel()  # q[reach + i - j, j] is q_flat[(reach + i - j) * n_free + j]
     q_col0 = np.zeros((layout.size, w))
     q_row0 = np.zeros((w, layout.size))
-    touched = []  # the flat positions of q's free entries and of their transposes
     for (rows, cols, vals), coef in terms:
         a, b = np.nonzero(coef)  # each op_ij * P_ab at its packed (row, col)
         row = ((w * rank[rows])[:, None] + a).ravel()
@@ -294,19 +293,20 @@ def build_mca_system(
         val = (vals[:, None] * coef[a, b]).ravel()
         free = (row >= w) & (col >= w)
         i, j = row[free] - w, col[free] - w
-        pos = (reach + i - j) * n_free + j
-        q_flat[pos] += val[free]  # no position repeats within a term
-        touched.append((pos, (reach + j - i) * n_free + i))
+        q_flat[(reach + i - j) * n_free + j] += val[free]  # no position repeats within a term
         at = col < w
         q_col0[row[at], col[at]] += val[at]
         at = row < w
         q_row0[row[at], col[at]] += val[at]
-    # K = q + q^T at every free position q touched and at its transpose
-    pos, pos_t = (np.concatenate(part) for part in zip(*touched))
-    k_free = q_flat[pos] + q_flat[pos_t]
-    q_flat[pos] = q_flat[pos_t] = k_free
+    # K = q + q^T in place, one pair of diagonals i - j = +-o at a time
+    half = 0
+    for o in range(reach + 1):
+        lower, upper = q[reach + o, : n_free - o], q[reach - o, o:]  # K[j + o, j], K[j, j + o]
+        lower += upper
+        upper[...] = lower
+        if lower.any():
+            half = o
     q_col0 += q_row0.T  # and its node-0 columns
-    half = int(np.max(np.abs(pos // n_free - reach)[k_free != 0.0], initial=0))
     system = MixedSystem(
         block=q_col0[:w],
         slab=q_col0[w:],

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._discrete import SCHEMES
 from ._stencils import deriv1, deriv2
 from .fracops import Side, frac_deriv
 from .grid import Grid, Signal, convolve, convolve_at_end
@@ -239,7 +240,7 @@ def action_value(kind: ActionKind, model, traj, *, ics=None, scheme: str = "redu
             - convolve_at_end(f, u)
         )
     # mixed convolved kinds
-    if scheme not in ("reduced", "direct"):
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if kind in MIXED_KINDS:
         return _mca_value_terms(model, traj.u, traj.J, traj.grid, scheme)

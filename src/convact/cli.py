@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._discrete import SCHEMES
 from .actions import MIXED_KINDS, ActionKind, _one_dof_view, action_value, el_residuals
 from .grid import Grid
 from .identities import (
@@ -85,10 +86,9 @@ def _float_list(text: str) -> list[float]:
 
 def _int_list(text: str) -> list[int]:
     vals = _float_list(text)
-    out = [int(v) for v in vals]
-    if any(float(i) != v for i, v in zip(out, vals)):
+    if not all(v.is_integer() for v in vals):  # False for inf and nan too
         raise _UsageError(f"expected integers, got {text!r}")
-    return out
+    return [int(v) for v in vals]
 
 
 def _identity_kinds(text: str) -> list[IdentityKind]:
@@ -294,7 +294,7 @@ def cmd_actions(args: argparse.Namespace) -> int:
         model, ics, traj_in = _one_dof_view(ActionKind.MCA_SDOF, sdof, ics, traj)
     value_rows = ["kind,path,value,h"]
     if kind in MIXED_KINDS:
-        for scheme in ("reduced", "direct"):
+        for scheme in SCHEMES:
             val = action_value(kind, model, traj_in, ics=ics, scheme=scheme)
             value_rows.append(f"{kind.value},{scheme},{val:.17g},{grid.h:.17g}")
             print(f"actions: kind={kind.value} path={scheme} value={val:.12g}")
@@ -342,7 +342,7 @@ def _add_model(sub: argparse.ArgumentParser):
 
 
 def _add_scheme(sub: argparse.ArgumentParser):
-    sub.add_argument("--scheme", choices=["reduced", "direct"], default="reduced")
+    sub.add_argument("--scheme", choices=SCHEMES, default="reduced")
 
 
 @functools.cache  # one parser per process: reading the environment is left to `main`

@@ -1,11 +1,12 @@
-"""Physical models, mixed-variable lifts and reference oracles.
+"""Physical models and reference oracles.
 
 The mixed formulation tracks the displacement u together with the impulse J
 of the internal (spring) force, with dJ/dt equal to the force. Reference
-solutions come from two independent routes: the closed-form damped oscillator
-(single dof, free or harmonically forced) and the exact state-space
-propagator, one matrix exponential per step (any dof count). Assemblers
-produce shear-building and clamped 1D-bar instances of the multi-dof model.
+solutions come from two independent routes, both exact in u and in J: the
+closed-form damped oscillator (single dof, free or harmonically forced) and
+the exact state-space propagator, one matrix exponential per step (any dof
+count). Assemblers produce shear-building and clamped 1D-bar instances of the
+multi-dof model.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ __all__ = [
     "MdofModel",
     "Trajectory",
     "analytic_sdof",
-    "mixed_initials",
     "mdof_mixed_initials",
-    "lift_to_mixed",
     "mdof_oracle",
     "build_shear_building",
     "build_bar_1d",
@@ -239,12 +238,6 @@ class Trajectory:
         return f"{header}\n{fmt % tuple(table.ravel().tolist())}\n"
 
 
-def mixed_initials(model: SdofModel, u0: float, v0: float) -> tuple[float, float]:
-    """Node-zero values (u(0), J(0)) consistent with the mixed-variable
-    initial conditions: J(0) = j_hat_0 - m v0 - c u0."""
-    return float(u0), float(model.j_hat_0 - model.m * v0 - model.c * u0)
-
-
 def mdof_mixed_initials(model: MdofModel, u0, v0) -> tuple[np.ndarray, np.ndarray]:
     """Vector counterpart: B J(0) = j_hat_0 - M v0 - C u0 (B square here)."""
     u0 = np.asarray(u0, dtype=float)
@@ -258,28 +251,14 @@ def mdof_mixed_initials(model: MdofModel, u0, v0) -> tuple[np.ndarray, np.ndarra
     return u0, np.linalg.solve(model.B, rhs)
 
 
-def _cumtrapz(values: np.ndarray, h: float) -> np.ndarray:
-    out = np.zeros_like(values)
-    out[1:] = np.cumsum(0.5 * h * (values[1:] + values[:-1]), axis=0)
-    return out
-
-
-def lift_to_mixed(model: SdofModel, u: Signal, u0: float, v0: float) -> Trajectory:
-    """Complete a displacement history to the mixed pair {u, J} with
-    J(tau) = J(0) + k * int_0^tau u (running trapezoid)."""
-    scale = max(abs(u0), float(np.max(np.abs(u.values))), 1.0)
-    if abs(u.values[0] - u0) > 1e-9 * scale:
-        raise ValueError(f"u[0] = {u.values[0]} does not match u0 = {u0}")
-    _, j0 = mixed_initials(model, u0, v0)
-    J = j0 + model.k * _cumtrapz(u.values, u.grid.h)
-    return Trajectory(u.grid, u.values, J)
-
-
 def analytic_sdof(model: SdofModel, u0: float, v0: float, grid: Grid) -> Trajectory:
     """Closed-form trajectory for free or single-harmonic forcing.
 
-    All damping regimes are covered (under/critical/over); the impulse history
-    J comes from the mixed lift. Unsupported forcing shapes raise ValueError.
+    All damping regimes are covered (under/critical/over). The impulse history
+    is the integrated momentum balance J = j_hat_0 + F - m u' - c u, with u'
+    from the same closed form and F the applied impulse, the integral of the
+    forcing from 0; at tau = 0 it is J(0) = j_hat_0 - m v0 - c u0. Unsupported
+    forcing shapes raise ValueError.
     """
     m, c, k = model.m, model.c, model.k
     wn = math.sqrt(k / m)
@@ -288,7 +267,7 @@ def analytic_sdof(model: SdofModel, u0: float, v0: float, grid: Grid) -> Traject
 
     if model.forcing is None:
         up0 = vp0 = 0.0
-        u_part = np.zeros_like(taus)
+        u_part = du_part = applied = np.zeros_like(taus)
     elif isinstance(model.forcing, HarmonicForcing) and np.ndim(model.forcing.amplitude) == 0:
         f0 = float(model.forcing.amplitude)
         om = model.forcing.omega
@@ -298,9 +277,15 @@ def analytic_sdof(model: SdofModel, u0: float, v0: float, grid: Grid) -> Traject
             raise ValueError("undamped resonance has no steady-state closed form")
         amp = f0 / math.sqrt(den)
         lag = math.atan2(c * om, k - m * om * om)
-        u_part = amp * np.sin(om * taus + ph - lag)
+        arg = om * taus + ph - lag
+        u_part = amp * np.sin(arg)
+        du_part = amp * om * np.cos(arg)
         up0 = amp * math.sin(ph - lag)
         vp0 = amp * om * math.cos(ph - lag)
+        if om == 0.0:  # a constant force f0 sin(phase)
+            applied = f0 * math.sin(ph) * taus
+        else:
+            applied = (f0 / om) * (math.cos(ph) - np.cos(om * taus + ph))
     else:
         raise ValueError(f"unsupported forcing shape: {model.forcing!r}")
 
@@ -308,18 +293,24 @@ def analytic_sdof(model: SdofModel, u0: float, v0: float, grid: Grid) -> Traject
     disc = zeta * zeta - 1.0
     if abs(disc) < 1e-12:  # critically damped
         b2 = (v0 - vp0) + wn * b1
-        u_hom = np.exp(-wn * taus) * (b1 + b2 * taus)
+        decay = np.exp(-wn * taus)
+        u_hom = decay * (b1 + b2 * taus)
+        du_hom = decay * (b2 - wn * (b1 + b2 * taus))
     elif disc < 0.0:  # underdamped (covers zeta = 0)
         wd = wn * math.sqrt(-disc)
         b2 = ((v0 - vp0) + zeta * wn * b1) / wd
-        u_hom = np.exp(-zeta * wn * taus) * (b1 * np.cos(wd * taus) + b2 * np.sin(wd * taus))
+        decay, cos, sin = np.exp(-zeta * wn * taus), np.cos(wd * taus), np.sin(wd * taus)
+        u_hom = decay * (b1 * cos + b2 * sin)
+        du_hom = decay * ((wd * b2 - zeta * wn * b1) * cos - (wd * b1 + zeta * wn * b2) * sin)
     else:  # overdamped
         wo = wn * math.sqrt(disc)
         b2 = ((v0 - vp0) + zeta * wn * b1) / wo
-        u_hom = np.exp(-zeta * wn * taus) * (b1 * np.cosh(wo * taus) + b2 * np.sinh(wo * taus))
+        decay, cosh, sinh = np.exp(-zeta * wn * taus), np.cosh(wo * taus), np.sinh(wo * taus)
+        u_hom = decay * (b1 * cosh + b2 * sinh)
+        du_hom = decay * ((wo * b2 - zeta * wn * b1) * cosh + (wo * b1 - zeta * wn * b2) * sinh)
 
-    u_sig = Signal(grid, u_hom + u_part)
-    return lift_to_mixed(model, u_sig, u0, v0)
+    u = u_hom + u_part
+    return Trajectory(grid, u, model.j_hat_0 + applied - m * (du_hom + du_part) - c * u)
 
 
 def mdof_oracle(model: MdofModel, u0, v0, grid: Grid, with_velocity: bool = False):

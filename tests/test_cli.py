@@ -249,6 +249,21 @@ def test_usage_error_exit_code():
     assert main(["sdof", "--n", "notanumber"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convergence", "--n", "64,128,inf"],
+        ["verify-identities", "--n", "64,1e400"],
+        ["verify-identities", "--n", "64,nan"],
+    ],
+)
+def test_non_finite_grid_sizes_exit_1(tmp_path, capsys, argv):
+    assert main([*argv, "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: expected integers, got '{argv[-1]}'")
+    assert "Traceback" not in err
+
+
 def _outcome(tmp_path, name, capsys, *argv):
     """Exit code, stdout, stderr and every CSV written (the convergence table
     without its wall_ms column) of one run."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from convact._stencils import deriv1, deriv2
-from convact.grid import Grid, sample
+from convact.grid import Grid
 from convact.models import (
     HarmonicForcing,
     MdofModel,
@@ -13,12 +13,10 @@ from convact.models import (
     analytic_sdof,
     build_bar_1d,
     build_shear_building,
-    lift_to_mixed,
     mdof_from_json,
     mdof_mixed_initials,
     mdof_oracle,
     mdof_to_json,
-    mixed_initials,
     sdof_as_mdof,
 )
 
@@ -107,40 +105,55 @@ def test_analytic_rejects_undamped_resonance():
         analytic_sdof(model, 0.0, 0.0, Grid(1.0, 8))
 
 
+def _sdof_initials(model, u0, v0):
+    u, j = mdof_mixed_initials(sdof_as_mdof(model), [u0], [v0])
+    return float(u[0]), float(j[0])
+
+
 def test_mixed_initials_examples():
-    assert mixed_initials(SdofModel(1.0, 0.2, 1.0), 1.0, 0.0) == (1.0, pytest.approx(-0.2))
-    assert mixed_initials(SdofModel(1.0, 0.0, 1.0, j_hat_0=0.7), 0.0, 0.0)[1] == pytest.approx(0.7)
-    assert mixed_initials(SdofModel(2.0, 0.0, 1.0), 0.0, 3.0)[1] == pytest.approx(-6.0)
+    assert _sdof_initials(SdofModel(1.0, 0.2, 1.0), 1.0, 0.0) == (1.0, pytest.approx(-0.2))
+    assert _sdof_initials(SdofModel(1.0, 0.0, 1.0, j_hat_0=0.7), 0.0, 0.0)[1] == pytest.approx(0.7)
+    assert _sdof_initials(SdofModel(2.0, 0.0, 1.0), 0.0, 3.0)[1] == pytest.approx(-6.0)
 
 
-def test_mixed_initials_satisfy_rate_form():
-    # J'(0) = k u(0) makes a J'(0) - u(0) = 0 exactly
-    model = SdofModel(3.0, 0.4, 2.5)
-    u0, _ = mixed_initials(model, 1.2, -0.3)
-    assert model.a * (model.k * u0) - u0 == pytest.approx(0.0, abs=1e-15)
+def test_closed_form_starts_at_the_mixed_initials():
+    model = SdofModel(1.5, 0.3, 2.0, forcing=HarmonicForcing(0.8, 1.3, 0.4), j_hat_0=0.6)
+    traj = analytic_sdof(model, 0.2, -0.7, Grid(3.0, 16))
+    u0, j0 = _sdof_initials(model, 0.2, -0.7)
+    assert traj.u[0] == pytest.approx(u0, abs=1e-15)
+    assert traj.J[0] == pytest.approx(j0, abs=1e-15)
 
 
-def test_lift_zero_displacement_keeps_applied_impulse():
+def test_closed_form_impulse_rate_is_the_spring_force():
+    # J' = k u: a running trapezoid of k u is O(h^2) off the exact J
+    model = SdofModel(3.0, 0.4, 2.5, forcing=HarmonicForcing(0.5, 0.9, 1.1))
+
+    def sup(n):
+        g = Grid(8.0, n)
+        traj = analytic_sdof(model, 1.2, -0.3, g)
+        steps = 0.5 * g.h * model.k * (traj.u[1:] + traj.u[:-1])
+        return np.max(np.abs(traj.J[0] + np.concatenate([[0.0], np.cumsum(steps)]) - traj.J))
+
+    assert 3.9 < sup(128) / sup(256) < 4.1
+
+
+def test_rest_state_keeps_applied_impulse():
     model = SdofModel(1.0, 0.0, 1.0, j_hat_0=0.5)
-    g = Grid(1.0, 10)
-    traj = lift_to_mixed(model, sample(lambda t: 0.0, g), 0.0, 0.0)
-    np.testing.assert_allclose(traj.J, 0.5 * np.ones(11))
+    traj = analytic_sdof(model, 0.0, 0.0, Grid(1.0, 10))
+    np.testing.assert_array_equal(traj.u, np.zeros(11))
+    np.testing.assert_array_equal(traj.J, 0.5 * np.ones(11))
 
 
-def test_lift_constant_displacement_linear_impulse():
-    model = SdofModel(1.0, 0.0, 2.0)
+def test_constant_force_equilibrium_has_linear_impulse():
+    # f = 2 sin(pi/2) = k u0 holds u at 1; J grows at k u = 2 from J(0) = -c u0
+    model = SdofModel(1.0, 0.3, 2.0, forcing=HarmonicForcing(2.0, 0.0, math.pi / 2))
     g = Grid(3.0, 12)
-    traj = lift_to_mixed(model, sample(lambda t: 1.0, g), 1.0, 0.0)
-    np.testing.assert_allclose(traj.J, traj.J[0] + 2.0 * g.nodes(), rtol=1e-14)
+    traj = analytic_sdof(model, 1.0, 0.0, g)
+    np.testing.assert_array_equal(traj.u, np.ones(13))
+    np.testing.assert_allclose(traj.J, -0.3 + 2.0 * g.nodes(), rtol=1e-14, atol=1e-15)
 
 
-def test_lift_rejects_inconsistent_start():
-    g = Grid(1.0, 8)
-    with pytest.raises(ValueError):
-        lift_to_mixed(DAMPED, sample(lambda t: 1.0 + t, g), 0.0, 0.0)
-
-
-def test_lift_compatibility_residual_shrinks():
+def test_closed_form_compatibility_residual_shrinks():
     # a J'' - u' -> 0 with h on the analytic damped trajectory
     def sup(n):
         g = Grid(8.0, n)
@@ -429,13 +442,24 @@ def test_mixed_initials_mdof_consistency():
 
 
 @pytest.mark.parametrize(
-    "c", [0.2, 2.0, 5.0], ids=["underdamped", "critical", "overdamped"]
+    "model",
+    [
+        SdofModel(m=1.0, c=0.2, k=1.0),
+        SdofModel(m=1.0, c=2.0, k=1.0),
+        SdofModel(m=1.0, c=5.0, k=1.0),
+        SdofModel(m=2.0, c=0.0, k=3.0, j_hat_0=-0.4),
+        SdofModel(m=1.5, c=0.3, k=2.0, forcing=HarmonicForcing(0.8, 1.3, 0.4), j_hat_0=0.6),
+        SdofModel(m=1.0, c=0.0, k=4.0, forcing=HarmonicForcing(1.0, 1.0, 0.2)),
+        SdofModel(m=1.0, c=5.0, k=1.0, forcing=HarmonicForcing(-0.7, 2.5, 2.0)),
+        SdofModel(m=1.0, c=0.5, k=3.0, forcing=HarmonicForcing(1.2, 0.0, 1.0)),
+    ],
+    ids=["underdamped", "critical", "overdamped", "undamped", "forced",
+         "forced-undamped", "forced-overdamped", "constant-force"],
 )
-def test_oracle_agrees_with_closed_form_in_all_regimes(c):
-    model = SdofModel(m=1.0, c=c, k=1.0)
+def test_oracle_agrees_with_closed_form_in_all_regimes(model):
     g = Grid(6.0, 256)
     closed = analytic_sdof(model, 0.8, -0.5, g)
     traj = mdof_oracle(sdof_as_mdof(model), [0.8], [-0.5], g)
     scale = max(np.max(np.abs(closed.u)), 1e-30)
     assert np.max(np.abs(traj.u[:, 0] - closed.u)) / scale < 1e-12
-    assert np.max(np.abs(traj.J[:, 0] - closed.J)) < 1e-4  # lift uses trapezoid
+    assert np.max(np.abs(traj.J[:, 0] - closed.J)) / max(np.max(np.abs(closed.J)), 1.0) < 1e-12
