@@ -46,12 +46,14 @@ class DofLayout:
     """Node-major packing of the (u, J) histories of the mixed action in fold
     order.
 
-    Nodes go 0, 1, n, 2, n - 1, ... and each node holds its components side
-    by side: u_0 ... u_{d-1}, then J_0 ... J_{e-1}. Node 0, the one the
+    Nodes go 0, n, n - 1, 1, 2, n - 2, n - 3, 3, 4, ...: the reflection pairs
+    (j, n - j) in alternating orientation. Each node holds its components
+    side by side: u_0 ... u_{d-1}, then J_0 ... J_{e-1}. Node 0, the one the
     initial conditions pin, is x[:width] and the free values are x[width:].
-    The mixed pairings couple node i with its neighbours and with the nodes
-    near n - i (the reflected cells), so in this order every coupling lies a
-    few places off the diagonal.
+    The mixed pairings couple node i with exactly the nodes j with
+    |i + j - n| <= 1 (the reflected cells), and in this order every such pair
+    lies at most 2 places apart, the least possible with 3 distinct
+    neighbours per interior node.
     """
 
     n_nodes: int
@@ -67,10 +69,10 @@ class DofLayout:
         return self.n_nodes * self.width
 
     def nodes(self) -> np.ndarray:
-        """The node order: 0, 1, n, 2, n - 1, ..."""
+        """The node order: 0, n, n - 1, 1, 2, n - 2, n - 3, 3, 4, ..."""
         n = self.n_nodes - 1
-        k = np.arange(n)
-        return np.concatenate([[0], np.where(k % 2 == 0, k // 2 + 1, n - k // 2)])
+        k = np.arange(n + 1)
+        return np.where((k + 1) // 2 % 2 == 0, k // 2, n - k // 2)
 
     def pack(self, u: np.ndarray, J: np.ndarray) -> np.ndarray:
         table = np.hstack([
@@ -248,10 +250,12 @@ def build_mca_system(
     scheme's semi-derivative pairing (`rate_value_pair_entries` or
     `gl_semi_pair_entries`) and E = e_0 e_n^T the reduced scheme's corner
     x(0) y(t) (absent in the direct scheme). Each time operator is a few
-    (row, col, value) triplets; its nodes are mapped to their fold positions
-    and each value times each nonzero of P is added, in term order, straight
-    into the storage of `MixedSystem`: entries in node 0's row or column into
-    dense slabs, the free block into a band. K = q + q^T is then formed in
+    (row, col, value) triplets that pair node i only with nodes j where
+    |i + j - n| <= 1; its nodes are mapped to their fold positions, which
+    puts every such pair at most 2 places apart, and each value times each
+    nonzero of P is added, in term order, straight into the storage of
+    `MixedSystem`: entries in node 0's row or column into dense slabs, the
+    free block into a band. K = q + q^T is then formed in
     place, one pair of mirrored diagonals at a time, and the band is trimmed
     to the nonzero half-bandwidth; no temporary is larger than the band or
     than one term's products. Every entry sums its products in term order, as a

@@ -177,12 +177,17 @@ def _solve_against_oracle(args, kind: ActionKind, model, u0, v0):
     _write_atomic(out / f"{args.command}_solved.csv", report.trajectory.to_csv())
     _write_atomic(out / f"{args.command}_oracle.csv", oracle.to_csv())
     _write_atomic(out / f"{args.command}_residuals.csv", residuals.to_csv())
-    err = float(np.max(np.abs(report.trajectory.u - oracle.u)))
-    if not math.isfinite(err):
-        raise _NumericalError(
-            "stationarity", "solve_stationary", f"non-finite trajectory (n={args.n}, h={grid.h:g})"
-        )
-    return report, err
+    at = f"(n={args.n}, h={grid.h:g})"
+    if not _finite(report.trajectory):
+        raise _NumericalError("stationarity", "solve_stationary", f"non-finite trajectory {at}")
+    if not _finite(oracle):
+        name = "analytic_sdof" if kind is ActionKind.MCA_SDOF else "mdof_oracle"
+        raise _NumericalError("models", name, f"non-finite oracle trajectory {at}")
+    return report, float(np.max(np.abs(report.trajectory.u - oracle.u)))
+
+
+def _finite(traj) -> bool:
+    return bool(np.all(np.isfinite(traj.u)) and np.all(np.isfinite(traj.J)))
 
 
 def cmd_sdof(args: argparse.Namespace) -> int:

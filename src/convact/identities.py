@@ -109,11 +109,14 @@ def _report(kind: IdentityKind, alpha, h: float, lhs: float, rhs: float) -> Iden
     )
 
 
-def _fi(side: Side, u: Signal, order: float) -> Signal:
-    """Fractional integral that degenerates to the identity at order zero."""
+def _fi_at_base(side: Side, u: Signal, order: float) -> float:
+    """The fractional integral of u at its own base node (node 0 for LEFT,
+    node n for RIGHT), computed there only: an integral over an empty
+    interval, so exactly the 0.0 that `frac_integral` leaves, or u itself at
+    order zero."""
     if order == 0.0:
-        return u
-    return frac_integral(side, u, order)
+        return u.values[0 if side is Side.LEFT else -1]
+    return 0.0
 
 
 def _d1(u: Signal) -> Signal:
@@ -152,8 +155,8 @@ def ibp_residual(kind: IdentityKind, phi: Signal, psi: Signal, alpha=None) -> Id
         lhs = inner_product(phi, frac_deriv(Side.LEFT, psi, a))
         rhs = (
             inner_product(frac_deriv(Side.RIGHT, phi, a), psi)
-            + _fi(Side.RIGHT, phi, 1.0 - a).values[n] * psi.values[n]
-            - phi.values[0] * _fi(Side.LEFT, psi, 1.0 - a).values[0]
+            + _fi_at_base(Side.RIGHT, phi, 1.0 - a) * psi.values[n]
+            - phi.values[0] * _fi_at_base(Side.LEFT, psi, 1.0 - a)
         )
     elif kind is IdentityKind.CLASSIC_INNER:
         lhs = inner_product(phi, _d1(psi))
@@ -166,15 +169,15 @@ def ibp_residual(kind: IdentityKind, phi: Signal, psi: Signal, alpha=None) -> Id
         lhs = convolve_at_end(phi, frac_deriv(Side.LEFT, psi, a))
         rhs = (
             convolve_at_end(frac_deriv(Side.LEFT, phi, a), psi)
-            + _fi(Side.LEFT, phi, 1.0 - a).values[0] * psi.values[n]
-            - phi.values[n] * _fi(Side.LEFT, psi, 1.0 - a).values[0]
+            + _fi_at_base(Side.LEFT, phi, 1.0 - a) * psi.values[n]
+            - phi.values[n] * _fi_at_base(Side.LEFT, psi, 1.0 - a)
         )
     elif kind is IdentityKind.CONV_RIGHT:
         lhs = convolve_at_end(phi, frac_deriv(Side.RIGHT, psi, a))
         rhs = (
             convolve_at_end(frac_deriv(Side.RIGHT, phi, a), psi)
-            + _fi(Side.RIGHT, phi, 1.0 - a).values[n] * psi.values[0]
-            - phi.values[0] * _fi(Side.RIGHT, psi, 1.0 - a).values[n]
+            + _fi_at_base(Side.RIGHT, phi, 1.0 - a) * psi.values[0]
+            - phi.values[0] * _fi_at_base(Side.RIGHT, psi, 1.0 - a)
         )
     elif kind is IdentityKind.CONV_CLASSIC:
         lhs = convolve_at_end(_d1(psi), phi)

@@ -302,12 +302,14 @@ def analytic_sdof(model: SdofModel, u0: float, v0: float, grid: Grid) -> Traject
         decay, cos, sin = np.exp(-zeta * wn * taus), np.cos(wd * taus), np.sin(wd * taus)
         u_hom = decay * (b1 * cos + b2 * sin)
         du_hom = decay * ((wd * b2 - zeta * wn * b1) * cos - (wd * b1 + zeta * wn * b2) * sin)
-    else:  # overdamped
-        wo = wn * math.sqrt(disc)
-        b2 = ((v0 - vp0) + zeta * wn * b1) / wo
-        decay, cosh, sinh = np.exp(-zeta * wn * taus), np.cosh(wo * taus), np.sinh(wo * taus)
-        u_hom = decay * (b1 * cosh + b2 * sinh)
-        du_hom = decay * ((wo * b2 - zeta * wn * b1) * cosh + (wo * b1 - zeta * wn * b2) * sinh)
+    else:  # overdamped: two decaying exponentials, so nothing overflows
+        fast = -wn * (zeta + math.sqrt(disc))
+        slow = wn * wn / fast  # -wn (zeta - sqrt(disc)) without the cancellation
+        a_slow = ((v0 - vp0) - fast * b1) / (slow - fast)
+        a_fast = b1 - a_slow
+        e_slow, e_fast = np.exp(slow * taus), np.exp(fast * taus)
+        u_hom = a_slow * e_slow + a_fast * e_fast
+        du_hom = a_slow * slow * e_slow + a_fast * fast * e_fast
 
     u = u_hom + u_part
     return Trajectory(grid, u, model.j_hat_0 + applied - m * (du_hom + du_part) - c * u)

@@ -4,17 +4,18 @@ The discrete unknowns are the nodal values of u and J at nodes 1..n; node 0
 is fixed from the mixed-variable initial conditions, which realizes the
 constrained-variation structure of the principle (initial values pinned, end
 values free). `DofLayout` packs the values node by node in fold order (node
-0, 1, n, 2, n - 1, ...), so node 0 is the first `width` values: eliminating
-it keeps the trailing rows and columns of K and folds the leading columns
-into the linear term. The assembled quadratic form is symmetric but
+0, n, n - 1, 1, 2, n - 2, ...), so node 0 is the first `width` values:
+eliminating it keeps the trailing rows and columns of K and folds the leading
+columns into the linear term. The assembled quadratic form is symmetric but
 indefinite — the action is stationary, not minimal.
 
 The solve is O(N) in time and memory for both schemes. K has a few nonzeros
-per row, and in fold order they all lie within a narrow band, so
-`build_mca_system` writes K straight into band storage, and the solve copies
-that band into LAPACK's array and factors it in place, with no permutation,
-by banded LU (`dgbtrf`). The 1-norm of K, its largest entry and the gradient
-K d + r are read off the same band. The 1-norm condition number is estimated
+per row, and fold order puts every coupled pair of nodes at most 2 places
+apart: the half-bandwidth is 5 for one dof and 16 for the 3-story shear
+building. `build_mca_system` writes K straight into band storage, and the
+solve copies that band into LAPACK's array and factors it in place, with no
+permutation, by banded LU (`dgbtrf`). The 1-norm of K, its largest entry and
+the gradient K d + r are read off the same band. The 1-norm condition number is estimated
 by Hager's method over banded solves with K and K^T, and a system whose
 estimate exceeds CONDITION_LIMIT is refused. No scipy.sparse code runs on
 this path; `QuadraticForm.K` builds a CSR copy only when asked.
@@ -132,8 +133,9 @@ def _max_abs(values: np.ndarray) -> float:
 class SolveReport:
     """Solved trajectory and what the solve measured: the relative gradient
     norm at the solution, the 1-norm condition estimate of K, the
-    half-bandwidth of K in fold order, the normwise forward-error bound
-    condition * eps, and the wall time of the solve."""
+    half-bandwidth of K in fold order (under 3 nodes' worth of values: 5 for
+    one dof, 16 for the 3-story shear building), the normwise forward-error
+    bound condition * eps, and the wall time of the solve."""
 
     trajectory: Trajectory
     gradient_norm: float
@@ -200,8 +202,8 @@ def _inverse_norm_estimate(solve, n: int) -> float:
 def solve_stationary(qf: QuadraticForm) -> SolveReport:
     """Solve K d = -r by banded LU in fold order and reassemble the trajectory.
 
-    In the fold order of `layout` K is banded with a half-bandwidth of a few
-    times the number of components per node; LAPACK's `dgbtrf`/`dgbtrs`
+    In the fold order of `layout` K is banded with a half-bandwidth below
+    three times the number of values per node; LAPACK's `dgbtrf`/`dgbtrs`
     factor and solve in O(N) time and memory.
     The 1-norm condition number is ||K||_1 times Hager's estimate of
     ||K^-1||_1, also O(N). Raises SingularSystemError when the factorization

@@ -87,6 +87,36 @@ def test_sdof_reproducible_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def _nan_trajectory(traj):
+    return replace(traj, u=traj.u * math.nan, J=traj.J * math.nan)
+
+
+@pytest.mark.parametrize(
+    "command, blamed",
+    [(["sdof"], "models.analytic_sdof"), (["mdof", "--preset", "shear-3"], "models.mdof_oracle")],
+)
+def test_non_finite_oracle_is_blamed_on_the_oracle(tmp_path, capsys, monkeypatch, command, blamed):
+    oracle = cli._oracle_trajectory
+    monkeypatch.setattr(cli, "_oracle_trajectory", lambda *a: _nan_trajectory(oracle(*a)))
+    assert run(tmp_path, *command, "--n", "32") == 2
+    err = capsys.readouterr().err
+    assert f"numerical failure in {blamed}: non-finite oracle trajectory (n=32," in err
+
+
+def test_non_finite_solution_is_blamed_on_the_solve(tmp_path, capsys, monkeypatch):
+    solve = cli.solve_stationary
+
+    def solve_to_nan(qf):
+        report = solve(qf)
+        return replace(report, trajectory=_nan_trajectory(report.trajectory))
+
+    monkeypatch.setattr(cli, "solve_stationary", solve_to_nan)
+    assert run(tmp_path, "sdof", "--n", "32") == 2
+    err = capsys.readouterr().err
+    blamed = "numerical failure in stationarity.solve_stationary: non-finite trajectory"
+    assert f"{blamed} (n=32," in err
+
+
 def test_identities_reproducible_byte_identical(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

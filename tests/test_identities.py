@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from convact.fracops import Side, frac_integral
 from convact.grid import Grid, Signal, sample
 from convact.identities import (
+    _fi_at_base,
     INTEGER_KINDS,
     IdentityKind,
     complementary_conv,
@@ -322,3 +324,15 @@ def test_sweep_samples_three_profiles_per_grid(monkeypatch):
     monkeypatch.setattr(identities, "trig_profile", counting_profile)
     run_identity_sweep(list(IdentityKind), ALL_ALPHAS, [32, 64, 128])
     assert sorted(calls) == [32] * 3 + [64] * 3 + [128] * 3
+
+
+def test_base_node_integral_is_bitwise_the_full_integral_there():
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 7, 64):
+        u = Signal(Grid(rng.uniform(0.5, 3.0), n), rng.standard_normal(n + 1))
+        for order in (*rng.uniform(0.0, 1.0, 4), 0.5, 1.0):
+            for side, base in ((Side.LEFT, 0), (Side.RIGHT, n)):
+                full = frac_integral(side, u, order).values[base]
+                assert np.float64(_fi_at_base(side, u, order)).tobytes() == full.tobytes()
+        assert _fi_at_base(Side.LEFT, u, 0.0) == u.values[0]
+        assert _fi_at_base(Side.RIGHT, u, 0.0) == u.values[n]

@@ -463,3 +463,15 @@ def test_oracle_agrees_with_closed_form_in_all_regimes(model):
     scale = max(np.max(np.abs(closed.u)), 1e-30)
     assert np.max(np.abs(traj.u[:, 0] - closed.u)) / scale < 1e-12
     assert np.max(np.abs(traj.J[:, 0] - closed.J)) / max(np.max(np.abs(closed.J)), 1.0) < 1e-12
+
+
+def test_overdamped_closed_form_stays_finite_at_long_horizons():
+    # omega_o t = 916 here: cosh and sinh of it overflow, the decaying
+    # exponentials exp((-zeta omega_n +- omega_o) tau) do not
+    model = SdofModel(m=1.0, c=5.0, k=1.0)
+    g = Grid(400.0, 64)
+    closed = analytic_sdof(model, 1.0, 0.0, g)
+    traj = mdof_oracle(sdof_as_mdof(model), [1.0], [0.0], g)
+    assert np.all(np.isfinite(closed.u)) and np.all(np.isfinite(closed.J))
+    np.testing.assert_allclose(closed.u, traj.u[:, 0], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(closed.J, traj.J[:, 0], rtol=0.0, atol=1e-12)

@@ -74,7 +74,7 @@ def test_dof_map_is_bijection_and_node0_fixed():
     # every value lands once: node 0 from node0, nodes 1..8 in fold order
     u, J = qf.layout.unpack(x)
     assert (u[0, 0], J[0, 0]) == tuple(qf.node0)
-    free_nodes = [1, 8, 2, 7, 3, 6, 4, 5]
+    free_nodes = [8, 7, 1, 2, 6, 5, 3, 4]
     np.testing.assert_array_equal(u[free_nodes, 0], d[0::2])
     np.testing.assert_array_equal(J[free_nodes, 0], d[1::2])
 
@@ -401,7 +401,17 @@ def test_mixed_solve_and_variation_enter_no_scipy_sparse():
 
 
 def test_fold_order_pairs_each_node_with_its_reflection():
-    np.testing.assert_array_equal(DofLayout(6, 1, 1).nodes(), [0, 1, 5, 2, 4, 3])
+    np.testing.assert_array_equal(DofLayout(7, 1, 1).nodes(), [0, 6, 5, 1, 2, 4, 3])
+    for n in range(2, 301):
+        fold = DofLayout(n + 1, 1, 1).nodes()
+        assert fold[0] == 0
+        np.testing.assert_array_equal(np.sort(fold), np.arange(n + 1))
+        # node i couples with j exactly when |i + j - n| <= 1
+        i = np.repeat(np.arange(n + 1), 3)
+        j = n - i + np.tile([-1, 0, 1], n + 1)
+        inside = (j >= 0) & (j <= n)
+        rank = np.argsort(fold)
+        assert np.max(np.abs(rank[i[inside]] - rank[j[inside]])) <= 2
 
 
 @pytest.mark.parametrize("n_dof, n_el", [(1, 0), (1, 1), (3, 1)])
@@ -531,11 +541,11 @@ def test_condition_estimate_tracks_dense_estimate_on_random_models():
 def test_solve_report_bandwidth_and_error_bound():
     eps = np.finfo(float).eps
     rep = solve_stationary(assemble(ActionKind.MCA_SDOF, FORCED, Grid(10.0, 256), 1.0, 0.0))
-    assert rep.bandwidth == 11
+    assert rep.bandwidth == 5
     assert rep.forward_error_bound == rep.condition_estimate * eps
     u0 = np.array([0.5, 0.2, -0.1])
     rep = solve_stationary(assemble(ActionKind.MCA_MDOF, SHEAR3, Grid(6.0, 256), u0, np.zeros(3)))
-    assert rep.bandwidth == 34
+    assert rep.bandwidth == 16
     assert rep.forward_error_bound == rep.condition_estimate * eps
 
 
