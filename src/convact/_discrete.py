@@ -8,10 +8,11 @@ histories, so each kind maps to a pair (K, r) with
 over the full node-value vector x (no constraints applied here). The mixed
 kinds' K is a `MixedSystem`: banded in fold order, it is assembled straight
 into LAPACK band storage, with node 0's couplings kept apart in a dense slab.
-HAMILTON and TONTI have a sparse CSR K. GURTIN's nested convolutions couple
-every pair of nodes, so its K is a matrix-free operator. Each K has a matvec,
-so the first variation in a direction g is g^T (K x + r); the stationarity
-module eliminates the fixed node-0 values to obtain the solvable system.
+HAMILTON and TONTI give K as its bilinear form (g, x) -> g^T K x on the
+`deriv1` stencil and the trapezoid weights. GURTIN's nested convolutions
+couple every pair of nodes, so its K is a matvec function. The first
+variation in a direction g is g^T (K x + r); the stationarity module
+eliminates the fixed node-0 values to obtain the solvable system.
 
 Discretization of the mixed action: the reduced scheme (default) evaluates
 every convolution EXACTLY on the piecewise-linear interpolants of the nodal
@@ -28,12 +29,12 @@ cross-check path. The displacement-only functionals keep nodal quadrature
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from ._stencils import deriv1_stencil
+from ._stencils import deriv1
 from .fracops import gl_weights
 from .grid import Grid
 from .models import MdofModel, SdofModel
@@ -84,16 +85,6 @@ class DofLayout:
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         table = np.reshape(x, (self.n_nodes, self.width))[np.argsort(self.nodes())]
         return table[:, : self.n_dof].copy(), table[:, self.n_dof :].copy()
-
-
-def _symmetrize(q: np.ndarray) -> np.ndarray:
-    return q + q.T
-
-
-def _anti_diagonal(values: np.ndarray, rows: int, cols: int, shift: int) -> sparse.coo_array:
-    """values[i] at (i, shift - i) for i = 0..len(values) - 1."""
-    i = np.arange(len(values))
-    return sparse.coo_array((values, (i, shift - i)), shape=(rows, cols))
 
 
 def rate_pair_entries(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -325,50 +316,73 @@ def build_mca_system(
 
 def build_hamilton_system(
     model: SdofModel, grid: Grid
-) -> tuple[sparse.csr_array, np.ndarray]:
-    """K, r of the classical action int (m u'^2 / 2 - k u^2 / 2 + f u) dtau."""
-    dmat = deriv1_stencil(grid.n_steps, grid.h)
-    tmat = sparse.diags_array(grid.trapezoid_weights(), format="csr")
-    q = 0.5 * model.m * dmat.T @ tmat @ dmat - 0.5 * model.k * tmat
-    r = tmat @ model.forcing_signal(grid).values
-    return _symmetrize(q).tocsr(), r
+) -> tuple[Callable[[np.ndarray, np.ndarray], float], np.ndarray]:
+    """K, r of the classical action int (m u'^2 / 2 - k u^2 / 2 + f u) dtau,
+    K as its bilinear form
+
+        g^T K x = m (D g)^T T (D x) - k g^T T x,
+
+    with D the `deriv1` stencil and T the diagonal trapezoid weights. Both
+    pairings multiply g and x elementwise, so the form is bitwise symmetric
+    in (g, x)."""
+    w = grid.trapezoid_weights()
+    h, m, k = grid.h, model.m, model.k
+
+    def form(g, x):
+        return m * np.dot(w, deriv1(g, h) * deriv1(x, h)) - k * np.dot(w, g * x)
+
+    return form, w * model.forcing_signal(grid).values
 
 
 def build_tonti_system(
     model: SdofModel, grid: Grid
-) -> tuple[sparse.csr_array, np.ndarray]:
+) -> tuple[Callable[[np.ndarray, np.ndarray], float], np.ndarray]:
     """K, r of the convolutional action with the half-weighted damping term:
-    1/2 u' * m u' + 1/2 u' * c u + 1/2 u * k u - u * f."""
-    n = grid.n_steps
-    dmat = deriv1_stencil(n, grid.h)
-    wmat = _anti_diagonal(grid.trapezoid_weights(), n + 1, n + 1, n).tocsr()
-    q = (
-        0.5 * model.m * dmat.T @ wmat @ dmat
-        + 0.5 * model.c * dmat.T @ wmat
-        + 0.5 * model.k * wmat
-    )
-    r = -(wmat @ model.forcing_signal(grid).values)
-    return _symmetrize(q).tocsr(), r
+    1/2 u' * m u' + 1/2 u' * c u + 1/2 u * k u - u * f.
+
+    With q = 1/2 (m D^T W D + c D^T W + k W) and K = q + q^T, K is the
+    bilinear form g^T K x = g^T q x + x^T q g:
+
+        1/2 m [(Dg)^T W (Dx) + (Dx)^T W (Dg)] + 1/2 c [(Dg)^T W x + (Dx)^T W g]
+        + 1/2 k [g^T W x + x^T W g],
+
+    with D the `deriv1` stencil and W the trapezoid anti-diagonal,
+    a^T W b = sum_p w_p a_p b_{n-p}. Swapping g and x swaps the two addends
+    of each bracket, so the form is bitwise symmetric in (g, x)."""
+    w = grid.trapezoid_weights()
+    h, m, c, k = grid.h, model.m, model.c, model.k
+
+    def pair(a, b):  # a^T W b
+        return np.dot(a, w * b[::-1])
+
+    def form(g, x):
+        dg, dx = deriv1(g, h), deriv1(x, h)
+        return 0.5 * (
+            m * (pair(dg, dx) + pair(dx, dg))
+            + c * (pair(dg, x) + pair(dx, g))
+            + k * (pair(g, x) + pair(x, g))
+        )
+
+    return form, -(w * model.forcing_signal(grid).values[::-1])
 
 
 def build_gurtin_system(
     model: SdofModel, grid: Grid, u0: float, v0: float
-) -> tuple[sparse.linalg.LinearOperator, np.ndarray]:
+) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
     """K, r of the Gurtin convolutional action
     1/2 m [u*u] + 1/2 [c*[u*u]] + 1/2 [k tau*[u*u]] - [f*u] at the end time,
     with f carrying the initial-condition data.
 
-    K = m W + c W_c + k W_r is a `LinearOperator` applied in O(n) memory
-    (and O(n^2) time: one direct correlation). W is the trapezoid anti-diagonal: (W x)_p = w_p x_{n-p}. The
-    nested convolutions sum, over prefixes j, the outer trapezoid weight
-    (times t - tau_j for W_r) times the prefix pairing of nodes 0..j, which
-    pairs node p with node j - p at weight h, halved at p = 0 or j - p = 0.
+    K = m W + c W_c + k W_r is returned as its matvec x -> K x, applied in
+    O(n) memory (and O(n^2) time: one direct correlation). W is the
+    trapezoid anti-diagonal: (W x)_p = w_p x_{n-p}. The nested convolutions
+    sum, over prefixes j, the outer trapezoid weight (times t - tau_j for
+    W_r) times the prefix pairing of nodes 0..j, which pairs node p with
+    node j - p at weight h, halved at p = 0 or j - p = 0.
     So entry (p, q) comes from prefix j = p + q alone and reads
     h s_p s_q a_{p+q}, s = (1/2, 1, ..., 1), and c W_c + k W_r applied to x
     is h s times the correlation of the kernel a with s x."""
-    from scipy.sparse.linalg import LinearOperator  # kept out of `import convact`
-
-    from .actions import gurtin_forcing  # cycle-free: actions imports lazily too
+    from .actions import gurtin_forcing  # deferred: actions imports this module
 
     n = grid.n_steps
     w = grid.trapezoid_weights()
@@ -378,8 +392,7 @@ def build_gurtin_system(
     s[0] = 0.5
 
     def matvec(x):
-        x = np.ravel(x)
         return model.m * (w * x[::-1]) + grid.h * s * np.correlate(kernel, s * x, "full")[n:]
 
     f = gurtin_forcing(model, u0, v0, grid)
-    return LinearOperator((n + 1, n + 1), matvec=matvec, dtype=float), -(w * f.values[::-1])
+    return matvec, -(w * f.values[::-1])

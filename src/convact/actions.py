@@ -21,7 +21,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._discrete import SCHEMES
+from ._discrete import (
+    SCHEMES,
+    build_gurtin_system,
+    build_hamilton_system,
+    build_mca_system,
+    build_tonti_system,
+    conv_end_linear,
+    rate_pair_end,
+    rate_value_pair_end,
+)
 from ._stencils import deriv1, deriv2
 from .fracops import Side, frac_deriv
 from .grid import Grid, Signal, convolve, convolve_at_end
@@ -157,8 +166,6 @@ def gurtin_forcing(model: SdofModel, u0: float, v0: float, grid: Grid) -> Signal
 
 
 def _mca_value_terms(model: MdofModel, u: np.ndarray, J: np.ndarray, grid: Grid, scheme: str) -> float:
-    from ._discrete import conv_end_linear, rate_pair_end, rate_value_pair_end
-
     d, e = model.n_dof, model.n_el
     h = grid.h
     amat = model.A
@@ -247,20 +254,6 @@ def action_value(kind: ActionKind, model, traj, *, ics=None, scheme: str = "redu
     raise ValueError(f"unknown action kind {kind!r}")
 
 
-def _displacement_system(kind: ActionKind, model, grid: Grid, ics):
-    from ._discrete import build_gurtin_system, build_hamilton_system, build_tonti_system
-
-    if kind is ActionKind.HAMILTON:
-        return build_hamilton_system(model, grid)
-    if kind is ActionKind.TONTI:
-        return build_tonti_system(model, grid)
-    if kind is ActionKind.GURTIN:
-        if ics is None:
-            raise ValueError("GURTIN needs ics=(u0, v0)")
-        return build_gurtin_system(model, grid, ics[0], ics[1])
-    raise ValueError(f"unknown action kind {kind!r}")
-
-
 def _check_direction_constraints(kind: ActionKind, direction):
     def _is_zero(x) -> bool:
         return abs(x) <= 1e-12
@@ -284,22 +277,26 @@ def action_variation(
     kind: ActionKind, model, traj, direction, *, ics=None, scheme: str = "reduced"
 ) -> float:
     """First (Gateaux) variation of the functional at `traj` in `direction`,
-    evaluated in closed form from the assembled bilinear structure."""
+    g^T (K x + r), evaluated in closed form from the discrete quadratic form:
+    the mixed kinds' assembled band, GURTIN's matvec and the HAMILTON and
+    TONTI bilinear forms."""
     _check_kind_inputs(kind, model, traj)
     _check_kind_inputs(kind, model, direction, "direction")
     _check_direction_constraints(kind, direction)
     model, ics, traj, direction = _one_dof_view(kind, model, ics, traj, direction)
     if kind in MIXED_KINDS:
-        from ._discrete import build_mca_system
-
         system, r, layout = build_mca_system(model, traj.grid, scheme)
         x, g = layout.pack(traj.u, traj.J), layout.pack(direction.u, direction.J)
-        kx = system.matvec(x)
-    else:
-        kmat, r = _displacement_system(kind, model, traj.grid, ics)
-        x, g = _signal_of(traj).values, _signal_of(direction).values
-        kx = kmat @ x
-    return float(g @ (kx + r))
+        return float(g @ (system.matvec(x) + r))
+    x, g = _signal_of(traj).values, _signal_of(direction).values
+    if kind is ActionKind.GURTIN:
+        if ics is None:
+            raise ValueError("GURTIN needs ics=(u0, v0)")
+        matvec, r = build_gurtin_system(model, traj.grid, ics[0], ics[1])
+        return float(g @ (matvec(x) + r))
+    build = build_hamilton_system if kind is ActionKind.HAMILTON else build_tonti_system
+    form, r = build(model, traj.grid)
+    return float(form(g, x) + g @ r)
 
 
 def el_residuals(kind: ActionKind, model, traj, *, ics=None) -> ResidualReport:
@@ -418,18 +415,33 @@ def bateman_residuals(model: SdofModel, u: Signal, v: Signal) -> ResidualReport:
 def make_direction_battery(
     grid: Grid, count: int = 16, seed: int = 7, vanish_end: bool = False
 ) -> list[Signal]:
-    """Fixed-seed random piecewise-cubic directions vanishing at tau = 0 (and
-    at tau = t when requested)."""
-    from scipy.interpolate import CubicSpline  # deferred: it dominates `import convact`
+    """Fixed-seed random cubic-spline directions vanishing at tau = 0 (and
+    at tau = t when requested).
 
+    Each direction interpolates uniform draws y on 6 equispaced knots with
+    not-a-knot ends, the spline of scipy's `CubicSpline(knots, y)`. Its knot
+    second derivatives M solve M_{i-1} + 4 M_i + M_{i+1} =
+    6 (y_{i+1} - 2 y_i + y_{i-1}) / H^2 at the 4 interior knots and
+    M_0 - 2 M_1 + M_2 = 0 = M_3 - 2 M_4 + M_5 (a continuous third derivative
+    at knots 1 and 4). On cell i, at b = tau / H - i and a = 1 - b, the
+    spline is a y_i + b y_{i+1} + ((a^3 - a) M_i + (b^3 - b) M_{i+1}) H^2 / 6,
+    which is exactly y_i at a = 1 and y_{i+1} at b = 1: the zero end values
+    stay exactly zero."""
     rng = np.random.default_rng(seed)
-    knots = np.linspace(0.0, grid.t_final, 6)
-    out = []
-    for _ in range(count):
-        vals = rng.uniform(-1.0, 1.0, knots.size)
-        vals[0] = 0.0
-        if vanish_end:
-            vals[-1] = 0.0
-        spline = CubicSpline(knots, vals)
-        out.append(Signal(grid, spline(grid.nodes())))
-    return out
+    vals = rng.uniform(-1.0, 1.0, (count, 6))  # as count calls of 6 draws
+    vals[:, 0] = 0.0
+    if vanish_end:
+        vals[:, -1] = 0.0
+    step = grid.t_final / 5.0
+    system = 4.0 * np.eye(6) + np.eye(6, k=1) + np.eye(6, k=-1)
+    system[0, :3] = system[-1, -3:] = (1.0, -2.0, 1.0)
+    rhs = np.zeros((6, count))
+    rhs[1:-1] = 6.0 / step**2 * np.diff(vals, 2).T
+    curv = np.linalg.solve(system, rhs).T
+    pos = 5.0 * np.arange(grid.n_nodes) / grid.n_steps  # tau / H, exactly 0 and 5 at the ends
+    cell = np.minimum(pos.astype(int), 4)
+    b = pos - cell
+    a = 1.0 - b
+    cubic = (a**3 - a) * curv[:, cell] + (b**3 - b) * curv[:, cell + 1]
+    out = a * vals[:, cell] + b * vals[:, cell + 1] + step**2 / 6.0 * cubic
+    return [Signal(grid, row) for row in out]

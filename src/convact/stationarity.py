@@ -18,7 +18,7 @@ permutation, by banded LU (`dgbtrf`). The 1-norm of K, its largest entry and
 the gradient K d + r are read off the same band. The 1-norm condition number is estimated
 by Hager's method over banded solves with K and K^T, and a system whose
 estimate exceeds CONDITION_LIMIT is refused. No scipy.sparse code runs on
-this path; `QuadraticForm.K` builds a CSR copy only when asked.
+this path; `QuadraticForm.K` imports it to build a CSR copy only when asked.
 
 The damped oscillator (MCA_SDOF) is solved as the one-dof case of the
 multi-dof system: `assemble` lifts the model through `sdof_as_mdof`, and the
@@ -32,7 +32,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import lapack
 
 from ._discrete import DofLayout, band_matvec, build_mca_system
@@ -111,8 +110,11 @@ class QuadraticForm:
         return self.band.shape[1]
 
     @property
-    def K(self) -> sparse.csr_array:
-        """K as a CSR matrix without stored zeros."""
+    def K(self):
+        """K as a CSR matrix without stored zeros. No solve reads it, so
+        scipy.sparse is imported here, on demand."""
+        from scipy import sparse
+
         width, n = self.band.shape
         columns = self.band.T  # columns[j, r] = K[j + r - b, j]
         j, r = np.nonzero(columns)

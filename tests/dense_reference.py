@@ -2,11 +2,11 @@
 builder of the mixed action's K, r and the symmetric indefinite
 (Bunch-Kaufman) solve with its LAPACK condition estimate, as the library ran
 them before it went sparse; the trapezoid anti-diagonal, the GL derivative
-matrix and the dense Hamilton and Tonti products; and the outer-product
-running convolution. The mixed references pack the values component by
-component (all nodes of u_0, then u_1, ..., then J); `component_major_index`
-maps the library's fold-ordered packing onto theirs. Tests compare the
-library kernels against these on small grids."""
+matrix, the `deriv1` stencil and the dense Hamilton and Tonti products; and
+the outer-product running convolution. The mixed references pack the values
+component by component (all nodes of u_0, then u_1, ..., then J);
+`component_major_index` maps the library's fold-ordered packing onto theirs.
+Tests compare the library kernels against these on small grids."""
 
 import math
 
@@ -14,7 +14,6 @@ import numpy as np
 from scipy.linalg import lapack, toeplitz
 
 from convact._discrete import reflected_load_weights
-from convact._stencils import deriv1_stencil
 from convact.fracops import gl_weights
 from convact.grid import as_order
 
@@ -158,9 +157,24 @@ def outer_product_convolve(a, b, h):
     return out
 
 
+def deriv1_stencil(n_steps, h):
+    """Dense matrix form of the library's `deriv1` acting on node-value
+    vectors."""
+    n = n_steps
+    k = np.arange(1, n)
+    rows = np.concatenate([[0, 0, 0], k, k, [n, n, n]])
+    cols = np.concatenate([[0, 1, 2], k - 1, k + 1, [n, n - 1, n - 2]])
+    coef = np.concatenate(
+        [[-3.0, 4.0, -1.0], np.full(n - 1, -1.0), np.ones(n - 1), [3.0, -4.0, 1.0]]
+    )
+    mat = np.zeros((n + 1, n + 1))
+    mat[rows, cols] = coef / (2.0 * h)
+    return mat
+
+
 def dense_hamilton_system(model, grid):
     """K, r of the classical action as dense matrix products."""
-    dmat = deriv1_stencil(grid.n_steps, grid.h).toarray()
+    dmat = deriv1_stencil(grid.n_steps, grid.h)
     tmat = np.diag(grid.trapezoid_weights())
     q = 0.5 * model.m * dmat.T @ tmat @ dmat - 0.5 * model.k * tmat
     return q + q.T, tmat @ model.forcing_signal(grid).values
@@ -168,7 +182,7 @@ def dense_hamilton_system(model, grid):
 
 def dense_tonti_system(model, grid):
     """K, r of the Tonti action as dense matrix products."""
-    dmat = deriv1_stencil(grid.n_steps, grid.h).toarray()
+    dmat = deriv1_stencil(grid.n_steps, grid.h)
     wmat = conv_end_matrix(grid)
     q = (
         0.5 * model.m * dmat.T @ wmat @ dmat

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from dense_reference import (
     conv_end_matrix,
+    deriv1_stencil,
     dense_hamilton_system,
     dense_tonti_system,
     entries_toarray,
@@ -19,7 +20,7 @@ from convact._discrete import (
     rate_pair_entries,
     rate_value_pair_entries,
 )
-from convact._stencils import deriv1, deriv1_stencil, deriv2
+from convact._stencils import deriv1, deriv2
 from convact.actions import (
     ActionKind,
     action_value,
@@ -259,12 +260,12 @@ def test_gurtin_operator_matches_prefix_loop(n):
         ref_const += outer[j] * block
         ref_ramp += outer[j] * (g.t_final - taus[j]) * block
     ref = FORCED.m * conv_end_matrix(g) + FORCED.c * ref_const + FORCED.k * ref_ramp
-    K, r = build_gurtin_system(FORCED, g, 0.7, -0.2)
-    cols = K @ np.eye(n + 1)
+    matvec, r = build_gurtin_system(FORCED, g, 0.7, -0.2)
+    cols = np.column_stack([matvec(e) for e in np.eye(n + 1)])
     assert np.max(np.abs(cols - ref)) <= 1e-15 * np.max(np.abs(ref))
     assert cols.tobytes() == cols.T.tobytes()
     x = np.random.default_rng(n).standard_normal(n + 1)
-    assert np.max(np.abs(K @ x - ref @ x)) <= 1e-15 * np.max(np.abs(ref @ x))
+    assert np.max(np.abs(matvec(x) - ref @ x)) <= 1e-15 * np.max(np.abs(ref @ x))
     f = gurtin_forcing(FORCED, 0.7, -0.2, g)
     assert r.tobytes() == (-(conv_end_matrix(g) @ f.values)).tobytes()
 
@@ -302,7 +303,7 @@ def test_operator_matrices_match_entry_loops(n):
     ref_mid = np.zeros((n, n + 1))
     ref_mid[np.arange(n), n - 1 - np.arange(n)] = 0.5
     ref_mid[np.arange(n), n - np.arange(n)] = 0.5
-    assert deriv1_stencil(n, h).toarray().tobytes() == ref_d1.tobytes()
+    assert deriv1_stencil(n, h).tobytes() == ref_d1.tobytes()
     g = Grid(3.0, n)
     rate = entries_toarray(rate_pair_entries(g), n + 1)
     assert rate.tobytes() == (ref_inc.T @ ref_pi @ ref_inc).tobytes()
@@ -310,28 +311,38 @@ def test_operator_matrices_match_entry_loops(n):
     assert rate_value.tobytes() == (ref_inc.T @ ref_mid).tobytes()
 
 
-@pytest.mark.parametrize("n", [2, 3, 9, 64, 512])
+@pytest.mark.parametrize("n", [2, 3, 9, 64])
 @pytest.mark.parametrize(
     "build, dense", [(build_hamilton_system, dense_hamilton_system),
                      (build_tonti_system, dense_tonti_system)]
 )
 def test_sparse_displacement_systems_match_dense_products(n, build, dense):
+    # K[i, j] is the bilinear form on the unit vectors e_i, e_j
     g = Grid(4.0, n)
-    K, r = build(FORCED, g)
+    form, r = build(FORCED, g)
     K_ref, r_ref = dense(FORCED, g)
-    K = K.toarray()
+    unit = np.eye(n + 1)
+    K = np.array([[form(e_i, e_j) for e_j in unit] for e_i in unit])
     assert np.max(np.abs(K - K_ref)) <= 1e-15 * np.max(np.abs(K_ref))
     assert K.tobytes() == K.T.tobytes()
     assert r.tobytes() == r_ref.tobytes()
+    # bitwise symmetric in (g, x) term by term: a model dominated by one of
+    # m, c, k keeps the others' roundoff from hiding an asymmetric term
+    g_, x_ = np.random.default_rng(n).standard_normal((2, n + 1))
+    for model in (FORCED, SdofModel(1e-9, 1.0, 1e-9), SdofModel(1e-9, 0.0, 1.0)):
+        form = build(model, g)[0]
+        assert form(g_, x_) == form(x_, g_)
 
 
 @pytest.mark.parametrize("build", [build_hamilton_system, build_tonti_system])
 def test_sparse_displacement_systems_memory_is_linear(build):
     # a dense (n+1)^2 K alone would be 33.6 MB at n = 2048
     g = Grid(4.0, 2048)
+    x = np.sin(g.nodes())
     tracemalloc.start()
     try:
-        build(FORCED, g)
+        form, _ = build(FORCED, g)
+        form(x, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -353,14 +364,77 @@ def test_stencils_act_columnwise_on_histories(n):
         assert deriv2(hist, g.h).tobytes() == ref_d2.tobytes()
 
 
-def test_import_leaves_out_scipy_interpolate():
-    # likewise scipy.sparse.linalg, which only GURTIN's operator needs
-    code = (
-        "import sys, convact; "
-        "print([m in sys.modules for m in ('scipy.interpolate', 'scipy.sparse.linalg')])"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[False, False]"
+# every action kind and scheme, the direction battery, the identity sweep and
+# each CLI subcommand, in a fresh process; prints the heavy scipy modules
+# loaded after `import convact`, then after the runs
+SCIPY_SURFACE_RUN = """
+import sys, tempfile
+import numpy as np
+import convact
+from convact import ActionKind as K, Grid, Signal, Trajectory, cli
+
+def loaded():
+    return [m for m in ("scipy.interpolate", "scipy.sparse", "scipy.special") if m in sys.modules]
+
+print(loaded())
+g = Grid(6.0, 64)
+sdof = convact.SdofModel(1.0, 0.3, 2.0, forcing=convact.HarmonicForcing(0.5, 1.3, 0.3))
+base = convact.analytic_sdof(sdof, 1.0, 0.0, g)
+du, dJ = (d.values for d in convact.make_direction_battery(g, count=2, vanish_end=True))
+col = lambda a: np.reshape(a, (-1, 1))
+ics = (1.0, 0.0)
+cases = [
+    (K.HAMILTON, sdof, base, Signal(g, du), None),
+    (K.TONTI, sdof, base, Signal(g, du), ics),
+    (K.GURTIN, sdof, base, Signal(g, du), ics),
+    (K.MCA_SDOF, sdof, base, Trajectory(g, du, dJ), ics),
+    (K.MCA_MDOF, convact.sdof_as_mdof(sdof), Trajectory(g, col(base.u), col(base.J)),
+     Trajectory(g, col(du), col(dJ)), (np.array([1.0]), np.array([0.0]))),
+]
+for kind, model, traj, direction, ics in cases:
+    for scheme in ("reduced", "direct"):
+        convact.action_value(kind, model, traj, ics=ics, scheme=scheme)
+        convact.action_variation(kind, model, traj, direction, ics=ics, scheme=scheme)
+convact.run_identity_sweep(list(convact.IdentityKind), [0.5], [16, 32])
+with tempfile.TemporaryDirectory() as out:
+    for argv in (["sdof", "--n", "32", "--forcing-amplitude", "1", "--forcing-omega", "2"],
+                 ["mdof", "--n", "32"], ["convergence", "--n", "16,32,64"],
+                 ["actions", "--kind", "gurtin"], ["verify-identities", "--n", "32,64"]):
+        assert cli.main([*argv, "--output-dir", out]) == 0, argv
+print(loaded())
+"""
+
+
+def test_runs_load_no_scipy_interpolate_sparse_or_special():
+    # scipy.interpolate alone drags in scipy.sparse, .special, .optimize,
+    # .spatial and .fft; a run needs only numpy and scipy.linalg
+    out = subprocess.run([sys.executable, "-c", SCIPY_SURFACE_RUN], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()  # the CLI's summaries come between
+    assert (lines[0], lines[-1]) == ("[]", "[]")
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 512])
+@pytest.mark.parametrize("vanish_end", [False, True])
+def test_direction_battery_is_the_not_a_knot_cubic_spline(n, vanish_end):
+    # reference: scipy's CubicSpline on the same draws, relative to the knot
+    # values; at the ends the battery is exactly 0.0 where CubicSpline leaves
+    # roundoff
+    from scipy.interpolate import CubicSpline
+
+    for t_final, seed in ((7.3, n), (0.4, 2 * n + 1)):
+        g = Grid(t_final, n)
+        rng = np.random.default_rng(seed)
+        knots = np.linspace(0.0, t_final, 6)
+        for direction in make_direction_battery(g, count=8, seed=seed, vanish_end=vanish_end):
+            vals = rng.uniform(-1.0, 1.0, 6)
+            vals[0] = 0.0
+            if vanish_end:
+                vals[-1] = 0.0
+            ref = CubicSpline(knots, vals)(g.nodes())
+            assert np.max(np.abs(direction.values - ref)) <= 1e-14 * np.max(np.abs(vals))
+            assert direction.values[0] == 0.0
+            assert direction.values[-1] == 0.0 or not vanish_end
 
 
 # ---------------------------------------------------------------------------

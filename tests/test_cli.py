@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from convact import cli
@@ -67,6 +68,38 @@ def test_sdof_writes_files_and_summary(tmp_path, capsys):
 
 def test_sdof_rejects_bad_stiffness(tmp_path):
     assert run(tmp_path, "sdof", "--k", "0") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--forcing-amplitude", "0.7"],
+    ["--forcing-amplitude", "-2", "--forcing-omega", "0", "--forcing-phase", "0"],
+])
+def test_sdof_rejects_a_forcing_that_cannot_act(tmp_path, capsys, argv):
+    # amplitude * sin(0 * tau + 0) is zero everywhere; from flags and config
+    assert run(tmp_path, "sdof", "--n", "32", *argv) == 1
+    assert "applies no force" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"forcing_amplitude": float(argv[1])}))
+    assert main(["sdof", "--n", "32", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 1
+    assert "applies no force" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def _read_table(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1)
+
+
+def test_sdof_zero_omega_with_a_phase_is_a_constant_force(tmp_path):
+    # f = 0.7 sin(1) for all tau: the forced run minus the free run is the
+    # step response of m = 1, c = 0.2, k = 1 to f0
+    assert run(tmp_path / "free", "sdof", "--n", "64") == 0
+    forced = ["--forcing-amplitude", "0.7", "--forcing-omega", "0", "--forcing-phase", "1"]
+    assert run(tmp_path / "forced", "sdof", "--n", "64", *forced) == 0
+    free = _read_table(tmp_path / "free" / "sdof_oracle.csv")
+    tau, u = _read_table(tmp_path / "forced" / "sdof_oracle.csv")[:, :2].T
+    f0, zeta, wd = 0.7 * math.sin(1.0), 0.1, math.sqrt(0.99)
+    step = f0 * (1.0 - np.exp(-zeta * tau) * (np.cos(wd * tau) + zeta / wd * np.sin(wd * tau)))
+    assert np.max(np.abs(u - free[:, 1] - step)) <= 1e-12 * f0
 
 
 def test_sdof_schemes_agree(tmp_path, capsys):
