@@ -7,6 +7,10 @@ closed-form damped oscillator (single dof, free or harmonically forced) and
 the exact state-space propagator, one matrix exponential per step (any dof
 count). Assemblers produce shear-building and clamped 1D-bar instances of the
 multi-dof model.
+
+Importing this module loads numpy alone: `MdofModel` places its flexibility
+blocks on the diagonal of A in numpy, and `mdof_oracle` imports
+scipy.linalg's `expm` when it runs.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import json
 import math
 from dataclasses import dataclass, field
 import numpy as np
-from scipy.linalg import block_diag, expm
 
 from .grid import Grid, Signal
 
@@ -165,7 +168,12 @@ class MdofModel:
                 raise ValueError(
                     f"forcing.amplitude: shape {amp_shape}, expected a scalar or ({n_dof},)"
                 )
-        A = block_diag(*blocks)
+        A = np.zeros((n_el, n_el))
+        start = 0
+        for blk in blocks:
+            stop = start + blk.shape[0]
+            A[start:stop, start:stop] = blk
+            start = stop
         for arr in (M, C, B, j0, A) + blocks:
             arr.setflags(write=False)
         object.__setattr__(self, "M", M)
@@ -328,6 +336,8 @@ def mdof_oracle(model: MdofModel, u0, v0, grid: Grid, with_velocity: bool = Fals
 
     Returns the Trajectory, or (Trajectory, velocity history) when
     `with_velocity` is set (for energy audits)."""
+    from scipy.linalg import expm  # imported where it runs: verify paths never load scipy
+
     d, e = model.n_dof, model.n_el
     forcing = _UNFORCED if model.forcing is None else model.forcing
     u0, j0 = mdof_mixed_initials(model, u0, v0)
@@ -466,9 +476,16 @@ def _forcing_from_doc(doc) -> HarmonicForcing | None:
         if extra:
             raise ValueError(f"forcing: unknown keys {sorted(extra)}")
         try:
-            return HarmonicForcing(doc["amplitude"], doc["omega"], doc.get("phase", 0.0))
+            forcing = HarmonicForcing(doc["amplitude"], doc["omega"], doc.get("phase", 0.0))
         except (KeyError, ValueError) as exc:
             raise ValueError(f"forcing: {exc}") from exc
+        if np.any(forcing.amplitude) and forcing.omega == 0.0 and math.sin(forcing.phase) == 0.0:
+            raise ValueError(
+                f"forcing: amplitude {np.asarray(forcing.amplitude).tolist()} applies no force: "
+                f"sin(omega * tau + phase) is 0 everywhere at omega = 0, phase = "
+                f"{forcing.phase:g}; give a nonzero omega or phase"
+            )
+        return forcing
     raise ValueError(f"forcing.kind: unknown preset {kind!r}")
 
 

@@ -17,8 +17,10 @@ solve copies that band into LAPACK's array and factors it in place, with no
 permutation, by banded LU (`dgbtrf`). The 1-norm of K, its largest entry and
 the gradient K d + r are read off the same band. The 1-norm condition number is estimated
 by Hager's method over banded solves with K and K^T, and a system whose
-estimate exceeds CONDITION_LIMIT is refused. No scipy.sparse code runs on
-this path; `QuadraticForm.K` imports it to build a CSR copy only when asked.
+estimate exceeds CONDITION_LIMIT is refused. Importing this module loads
+numpy alone: `solve_stationary` imports scipy.linalg's LAPACK wrappers at
+its first call. No scipy.sparse code runs on this path; `QuadraticForm.K`
+imports it to build a CSR copy only when asked.
 
 The damped oscillator (MCA_SDOF) is solved as the one-dof case of the
 multi-dof system: `assemble` lifts the model through `sdof_as_mdof`, and the
@@ -32,7 +34,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from ._discrete import DofLayout, band_matvec, build_mca_system
 from .actions import ActionKind
@@ -212,6 +213,8 @@ def solve_stationary(qf: QuadraticForm) -> SolveReport:
     meets an exactly zero pivot or the condition estimate exceeds
     CONDITION_LIMIT, the half-precision budget of the double-precision solve.
     """
+    from scipy.linalg import lapack  # imported at the first solve, not by `import convact`
+
     start = time.perf_counter()
     width, n_free = qf.band.shape
     band = width // 2

@@ -365,18 +365,23 @@ def test_stencils_act_columnwise_on_histories(n):
 
 
 # every action kind and scheme, the direction battery, the identity sweep and
-# each CLI subcommand, in a fresh process; prints the heavy scipy modules
-# loaded after `import convact`, then after the runs
+# the verify subcommands, then the solving subcommands, in a fresh process;
+# prints the scipy modules loaded after `import convact`, after the verify
+# runs and, of scipy.linalg and the heavy ones, after the solves
 SCIPY_SURFACE_RUN = """
 import sys, tempfile
 import numpy as np
 import convact
 from convact import ActionKind as K, Grid, Signal, Trajectory, cli
 
-def loaded():
-    return [m for m in ("scipy.interpolate", "scipy.sparse", "scipy.special") if m in sys.modules]
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-print(loaded())
+def loaded():
+    names = ("scipy.linalg", "scipy.interpolate", "scipy.sparse", "scipy.special")
+    return [m for m in names if m in sys.modules]
+
+print(scipy_loaded())
 g = Grid(6.0, 64)
 sdof = convact.SdofModel(1.0, 0.3, 2.0, forcing=convact.HarmonicForcing(0.5, 1.3, 0.3))
 base = convact.analytic_sdof(sdof, 1.0, 0.0, g)
@@ -397,21 +402,27 @@ for kind, model, traj, direction, ics in cases:
         convact.action_variation(kind, model, traj, direction, ics=ics, scheme=scheme)
 convact.run_identity_sweep(list(convact.IdentityKind), [0.5], [16, 32])
 with tempfile.TemporaryDirectory() as out:
+    for kind in ("mca-sdof", "mca-mdof", "hamilton", "tonti", "gurtin"):
+        assert cli.main(["actions", "--kind", kind, "--output-dir", out]) == 0, kind
+    assert cli.main(["verify-identities", "--n", "32,64", "--output-dir", out]) == 0
+    print(scipy_loaded())
     for argv in (["sdof", "--n", "32", "--forcing-amplitude", "1", "--forcing-omega", "2"],
-                 ["mdof", "--n", "32"], ["convergence", "--n", "16,32,64"],
-                 ["actions", "--kind", "gurtin"], ["verify-identities", "--n", "32,64"]):
+                 ["mdof", "--n", "32"], ["convergence", "--n", "16,32,64"]):
         assert cli.main([*argv, "--output-dir", out]) == 0, argv
 print(loaded())
 """
 
 
 def test_runs_load_no_scipy_interpolate_sparse_or_special():
-    # scipy.interpolate alone drags in scipy.sparse, .special, .optimize,
-    # .spatial and .fft; a run needs only numpy and scipy.linalg
+    # verify runs need numpy alone; the banded LU and the oracle's expm
+    # import scipy.linalg where they run, and scipy.interpolate, .sparse and
+    # .special (which drag in .optimize, .spatial and .fft) are never loaded
     out = subprocess.run([sys.executable, "-c", SCIPY_SURFACE_RUN], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    lines = out.stdout.splitlines()  # the CLI's summaries come between
-    assert (lines[0], lines[-1]) == ("[]", "[]")
+    # the CLI's summaries come between the three module lists
+    assert [line for line in out.stdout.splitlines() if line.startswith("[")] == [
+        "[]", "[]", "['scipy.linalg']"
+    ]
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 64, 512])

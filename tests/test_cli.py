@@ -192,6 +192,38 @@ def test_mdof_rejects_forcing_of_wrong_width(tmp_path, capsys):
     assert "forcing.amplitude" in capsys.readouterr().err
 
 
+def _forced_shear_model(tmp_path, forcing):
+    doc = json.loads(mdof_to_json(build_shear_building(3, 1.0, 10.0, 0.4)))
+    doc["forcing"] = {"kind": "harmonic", **forcing}
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    return str(model_path)
+
+
+@pytest.mark.parametrize("phase", [{"phase": 0}, {}])
+def test_mdof_rejects_a_forcing_that_cannot_act(tmp_path, capsys, phase):
+    # amplitude * sin(0 * tau + 0) is zero everywhere; phase given or defaulted
+    model = _forced_shear_model(tmp_path, {"amplitude": [1, 0, 0], "omega": 0, **phase})
+    assert run(tmp_path, "mdof", "--model", model, "--n", "16") == 1
+    err = capsys.readouterr().err
+    assert "invalid model document: forcing: amplitude [1.0, 0.0, 0.0] applies no force" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "forcing",
+    [{"amplitude": [1, 0, 0], "omega": 0, "phase": 1}, {"amplitude": [0, 0, 0], "omega": 0}],
+)
+def test_mdof_accepts_a_constant_or_zero_forcing(tmp_path, forcing):
+    model = _forced_shear_model(tmp_path, forcing)
+    assert run(tmp_path / "forced", "mdof", "--model", model, "--n", "32") == 0
+    assert run(tmp_path / "free", "mdof", "--preset", "shear-3", "--n", "32") == 0
+    same = (tmp_path / "forced" / "mdof_oracle.csv").read_bytes() == (
+        tmp_path / "free" / "mdof_oracle.csv"
+    ).read_bytes()
+    assert same == (forcing["amplitude"] == [0, 0, 0])
+
+
 def test_convergence_table_written(tmp_path, capsys):
     code = run(tmp_path, "convergence", "--kind", "sdof", "--n", "32,64,128")
     assert code == 0

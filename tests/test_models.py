@@ -330,8 +330,15 @@ def test_mdof_model_validation_messages():
     assert scalar.forcing_history(np.array([0.0, 1.0])).shape == (2, 2)
 
 
+def _random_spd(rng, size):
+    root = rng.standard_normal((size, size))
+    return root @ root.T + size * np.eye(size)
+
+
 def test_mdof_flexibility_is_assembled_once_and_read_only():
     from dataclasses import replace
+
+    from scipy.linalg import block_diag
 
     model = build_shear_building(3, 1.0, 10.0, 0.4)
     assert model.A is model.A
@@ -340,6 +347,21 @@ def test_mdof_flexibility_is_assembled_once_and_read_only():
         model.A[0, 0] = 1.0
     stiffer = replace(model, A_blocks=(np.array([[0.05]]),) * 3)
     np.testing.assert_array_equal(stiffer.A, np.diag([0.05, 0.05, 0.05]))
+    # the numpy assembly is bitwise scipy's block_diag, also for mixed block sizes
+    rng = np.random.default_rng(7)
+    models = [build_shear_building(n, 1.3, 7.0, 0.2) for n in (1, 2, 5)]
+    models += [model, stiffer, build_bar_1d(1.0, 2.0, 3.0, 6), mdof_from_json(mdof_to_json(model))]
+    models.append(replace(model, A_blocks=(_random_spd(rng, 2), np.array([[0.5]]))))
+    for _ in range(10):
+        blocks = tuple(_random_spd(rng, size) for size in rng.integers(1, 4, rng.integers(1, 5)))
+        n = sum(b.shape[0] for b in blocks)
+        random = MdofModel(M=_random_spd(rng, n), C=np.zeros((n, n)), A_blocks=blocks,
+                           B=rng.standard_normal((n, n)))
+        models += [random, mdof_from_json(mdof_to_json(random))]
+    for m in models:
+        ref = block_diag(*m.A_blocks)
+        assert (m.A.shape, m.A.dtype, m.A.tobytes()) == (ref.shape, ref.dtype, ref.tobytes())
+        assert not m.A.flags.writeable
 
 
 def test_mdof_json_roundtrip():
