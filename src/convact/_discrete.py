@@ -160,25 +160,36 @@ def reflected_load_weights(f_vals: np.ndarray, h: float) -> np.ndarray:
 
 
 def conv_end_linear(x: np.ndarray, y: np.ndarray, h: float) -> float:
-    """Exact [x * y](t_final) for the piecewise-linear interpolants."""
+    """Exact [x * y](t_final) for the piecewise-linear interpolants; for
+    histories (n + 1, p) the pairings of matching columns are summed."""
     ry = y[::-1]
     a, c = x[:-1], x[1:]
     b, dd = ry[:-1], ry[1:]
     return float(h / 6.0 * np.sum(2.0 * a * b + a * dd + c * b + 2.0 * c * dd))
 
 
-def rate_pair_end(x: np.ndarray, y: np.ndarray, h: float) -> float:
-    """Exact [x' * y'](t_final) for the piecewise-linear interpolants."""
-    dx = np.diff(x)
-    dy = np.diff(y)
-    return float(np.dot(dx, dy[::-1]) / h)
+def end_pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_k x[k, a] y[n - k, b], the end-time pairing of every column of
+    x (n + 1, p) with every column of y (n + 1, q), as a p x q matrix. Each
+    entry is one dot product of two contiguous rows, summed as `np.dot`
+    sums a pair of columns."""
+    rows = np.ascontiguousarray(x.T)[:, None, None, :]
+    reflected = np.ascontiguousarray(y[::-1].T)[None, :, :, None]
+    return (rows @ reflected)[:, :, 0, 0]
 
 
-def rate_value_pair_end(x: np.ndarray, y: np.ndarray, h: float) -> float:
-    """Exact [x' * y](t_final) for the piecewise-linear interpolants."""
-    dx = np.diff(x)
-    mid = 0.5 * (y[:-1] + y[1:])
-    return float(np.dot(dx, mid[::-1]))
+def rate_pair_end(x: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
+    """Exact [x_a' * y_b'](t_final) for the piecewise-linear interpolants of
+    the columns of histories x (n + 1, p) and y (n + 1, q), as a p x q
+    matrix."""
+    return end_pairs(np.diff(x, axis=0), np.diff(y, axis=0)) / h
+
+
+def rate_value_pair_end(x: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
+    """Exact [x_a' * y_b](t_final) for the piecewise-linear interpolants of
+    the columns of histories x (n + 1, p) and y (n + 1, q), as a p x q
+    matrix."""
+    return end_pairs(np.diff(x, axis=0), 0.5 * (y[:-1] + y[1:]))
 
 
 def band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ from ._discrete import (
     build_mca_system,
     build_tonti_system,
     conv_end_linear,
+    end_pairs,
     rate_pair_end,
     rate_value_pair_end,
 )
@@ -86,29 +87,21 @@ class ResidualReport:
     grid: Grid
     field_residuals: dict = field(repr=False)
     ic_residuals: dict = field(default_factory=dict)
-    excluded_nodes: int = 0
-
-    def _included(self, name: str) -> np.ndarray:
-        arr = np.asarray(self.field_residuals[name])
-        if self.excluded_nodes:
-            arr = arr[self.excluded_nodes : arr.shape[0] - self.excluded_nodes]
-        return arr
 
     def sup(self, name: str) -> float:
-        return float(np.max(np.abs(self._included(name))))
+        return float(np.max(np.abs(self.field_residuals[name])))
 
     def l2(self, name: str) -> float:
-        arr = self._included(name)
+        arr = np.asarray(self.field_residuals[name])
         return float(math.sqrt(self.grid.h * np.sum(arr * arr)))
 
     def to_csv(self) -> str:
-        """CSV rows `name,sup_norm,l2_norm,excluded_nodes`; initial-condition
-        entries are scalars, reported with both norms equal to |value|."""
+        """CSV rows `name,sup_norm,l2_norm,excluded_nodes`; every node is
+        included, so excluded_nodes is 0. Initial-condition entries are
+        scalars, reported with both norms equal to |value|."""
         lines = ["name,sup_norm,l2_norm,excluded_nodes"]
         for name in self.field_residuals:
-            lines.append(
-                f"{name},{self.sup(name):.17g},{self.l2(name):.17g},{self.excluded_nodes}"
-            )
+            lines.append(f"{name},{self.sup(name):.17g},{self.l2(name):.17g},0")
         for name, value in self.ic_residuals.items():
             lines.append(f"{name},{abs(value):.17g},{abs(value):.17g},0")
         return "\n".join(lines) + "\n"
@@ -118,10 +111,6 @@ def _signal_of(traj, component=None) -> Signal:
     if isinstance(traj, Signal):
         return traj
     return traj.u_signal(component)
-
-
-def _d1_signal(sig: Signal) -> Signal:
-    return Signal(sig.grid, deriv1(sig.values, sig.grid.h))
 
 
 def _check_kind_inputs(kind: ActionKind, model, traj, what: str = "trajectory"):
@@ -166,47 +155,30 @@ def gurtin_forcing(model: SdofModel, u0: float, v0: float, grid: Grid) -> Signal
 
 
 def _mca_value_terms(model: MdofModel, u: np.ndarray, J: np.ndarray, grid: Grid, scheme: str) -> float:
-    d, e = model.n_dof, model.n_el
+    """The mixed action as one contraction per term: each model matrix is
+    multiplied entrywise by the matrix of end-time pairings of its columns
+    and summed. R pairs rates exactly; the semi-derivative pairing S is the
+    reduced rewrite x' * y + x(0) y(t), or the GL half-derivatives of the
+    columns paired by the trapezoid anti-diagonal rule of `convolve_at_end`."""
     h = grid.h
-    amat = model.A
-    total = 0.0
-    for a in range(d):
-        for b in range(d):
-            if model.M[a, b] != 0.0:
-                total += 0.5 * model.M[a, b] * rate_pair_end(u[:, a], u[:, b], h)
-    for i in range(e):
-        for j in range(e):
-            if amat[i, j] != 0.0:
-                total -= 0.5 * amat[i, j] * rate_pair_end(J[:, i], J[:, j], h)
     if scheme == "direct":
-        su = [frac_deriv(Side.LEFT, Signal(grid, u[:, a]), 0.5) for a in range(d)]
-        sJ = [frac_deriv(Side.LEFT, Signal(grid, J[:, i]), 0.5) for i in range(e)]
-        for i in range(e):
-            for a in range(d):
-                if model.B[a, i] != 0.0:
-                    total += model.B[a, i] * convolve_at_end(sJ[i], su[a])
-        for a in range(d):
-            for b in range(d):
-                if model.C[a, b] != 0.0:
-                    total += 0.5 * model.C[a, b] * convolve_at_end(su[a], su[b])
+        w = grid.trapezoid_weights()[:, None]
+        su, sj = (
+            np.column_stack([frac_deriv(Side.LEFT, Signal(grid, c), 0.5).values for c in x.T])
+            for x in (u, J)
+        )
+        s_ju, s_uu = end_pairs(w * sj, su), end_pairs(w * su, su)
     else:
-        for i in range(e):
-            for a in range(d):
-                if model.B[a, i] != 0.0:
-                    total += model.B[a, i] * (
-                        rate_value_pair_end(J[:, i], u[:, a], h) + J[0, i] * u[-1, a]
-                    )
-        for a in range(d):
-            for b in range(d):
-                if model.C[a, b] != 0.0:
-                    total += 0.5 * model.C[a, b] * (
-                        rate_value_pair_end(u[:, a], u[:, b], h) + u[0, a] * u[-1, b]
-                    )
-    f_hist = model.forcing_history(grid.nodes())
-    for a in range(d):
-        total -= conv_end_linear(u[:, a], f_hist[:, a], h)
-        total -= u[-1, a] * model.j_hat_0[a]
-    return total
+        s_ju = rate_value_pair_end(J, u, h) + np.outer(J[0], u[-1])
+        s_uu = rate_value_pair_end(u, u, h) + np.outer(u[0], u[-1])
+    return float(
+        0.5 * np.sum(model.M * rate_pair_end(u, u, h))
+        - 0.5 * np.sum(model.A * rate_pair_end(J, J, h))
+        + np.sum(model.B.T * s_ju)
+        + 0.5 * np.sum(model.C * s_uu)
+        - conv_end_linear(u, model.forcing_history(grid.nodes()), h)
+        - u[-1] @ model.j_hat_0
+    )
 
 
 def action_value(kind: ActionKind, model, traj, *, ics=None, scheme: str = "reduced") -> float:
@@ -223,7 +195,7 @@ def action_value(kind: ActionKind, model, traj, *, ics=None, scheme: str = "redu
         return float(u.grid.trapezoid_weights() @ integrand)
     if kind is ActionKind.TONTI:
         u = _signal_of(traj)
-        du = _d1_signal(u)
+        du = Signal(u.grid, deriv1(u.values, u.grid.h))
         f = model.forcing_signal(u.grid)
         return (
             0.5 * model.m * convolve_at_end(du, du)

@@ -37,6 +37,7 @@ from .models import (
     SdofModel,
     analytic_sdof,
     build_shear_building,
+    check_forcing_acts,
     mdof_from_json,
 )
 from .stationarity import (
@@ -193,13 +194,9 @@ def _finite(traj) -> bool:
 def cmd_sdof(args: argparse.Namespace) -> int:
     forcing = None
     if args.forcing_amplitude != 0.0:
-        forcing = HarmonicForcing(args.forcing_amplitude, args.forcing_omega, args.forcing_phase)
-        if forcing.omega == 0.0 and math.sin(forcing.phase) == 0.0:
-            raise _UsageError(
-                f"forcing amplitude {forcing.amplitude:g} applies no force: "
-                f"sin(omega * tau + phase) is 0 everywhere at omega = 0, phase = "
-                f"{forcing.phase:g}; give a nonzero --forcing-omega or --forcing-phase"
-            )
+        forcing = check_forcing_acts(
+            HarmonicForcing(args.forcing_amplitude, args.forcing_omega, args.forcing_phase)
+        )
     model = SdofModel(m=args.m, c=args.c, k=args.k, forcing=forcing)
     report, err = _solve_against_oracle(args, ActionKind.MCA_SDOF, model, args.u0, args.v0)
     print(

@@ -144,7 +144,7 @@ class CompositionKind(enum.Enum):
 
     J_J = enum.auto()  # J^a J^b u = J^(a+b) u
     D_OF_J = enum.auto()  # D^a J^a u = u
-    J_OF_D = enum.auto()  # J^a D^a u = u - boundary correction
+    J_OF_D = enum.auto()  # J^a D^a u = u (the boundary correction is zero)
 
 
 def interior_slice(n_steps: int) -> slice:
@@ -157,9 +157,10 @@ def composition_residual(
 ) -> float:
     """Max interior mismatch of a composition identity, normalized by max |rhs|.
 
-    For J_OF_D the boundary correction of the reconstruction identity is
-    included on the rhs; discretely it vanishes because the left (right)
-    integral is zero at its own base point.
+    For J_OF_D the rhs is u itself: the boundary correction of the
+    reconstruction identity is proportional to the complementary-order
+    integral at its own base point, an integral over an empty interval, so
+    it is exactly zero on the grid.
     """
     a = as_order(alpha)
     if kind is CompositionKind.J_J:
@@ -177,21 +178,7 @@ def composition_residual(
         rhs = u
     elif kind is CompositionKind.J_OF_D:
         lhs = frac_integral(side, frac_deriv(side, u, a), a)
-        correction = np.zeros(u.grid.n_nodes)
-        comp = FracOrder(1.0 - a.alpha) if a.alpha < 1.0 else None
-        taus = u.grid.nodes()
-        if comp is not None:
-            if side is Side.LEFT:
-                j0 = frac_integral(Side.LEFT, u, comp).values[0]
-                with np.errstate(divide="ignore"):
-                    correction[1:] = j0 / (math.gamma(a.alpha) * taus[1:] ** comp.alpha)
-            else:
-                jt = frac_integral(Side.RIGHT, u, comp).values[-1]
-                with np.errstate(divide="ignore"):
-                    correction[:-1] = jt / (
-                        math.gamma(a.alpha) * (taus[-1] - taus[:-1]) ** comp.alpha
-                    )
-        rhs = Signal(u.grid, u.values - correction)
+        rhs = u
     else:
         raise ValueError(f"unknown composition kind {kind!r}")
     keep = interior_slice(u.grid.n_steps)

@@ -221,14 +221,7 @@ def complementary_conv(u: Signal, alpha) -> IdentityReport:
     """Convolution of complementary-order fractional derivatives of u against
     the integer-derivative oracle int u'(tau) u(t - tau) dtau + u(0) u(t);
     path dependent, and the oracle side is free of alpha."""
-    a = as_order(alpha).alpha
-    if a >= 1.0:
-        raise ValueError("complementary pairing requires alpha < 1")
-    dl_comp = frac_deriv(Side.LEFT, u, 1.0 - a)
-    dl = frac_deriv(Side.LEFT, u, a)
-    lhs = _riemann_pair(dl_comp, dl, convolved=True)
-    rhs = convolve_at_end(_d1(u), u) + u.values[0] * u.values[-1]
-    return _report(IdentityKind.CONV_COMPLEMENTARY, a, u.grid.h, lhs, rhs)
+    return ibp_residual(IdentityKind.CONV_COMPLEMENTARY, u, u, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -462,6 +462,19 @@ def _forcing_to_doc(forcing) -> dict:
     }
 
 
+def check_forcing_acts(forcing: HarmonicForcing) -> HarmonicForcing:
+    """The forcing itself, or ValueError if a nonzero amplitude meets
+    omega = 0 and sin(phase) = 0: then the force is zero everywhere. A
+    constant force (omega = 0, sin(phase) != 0) and a zero amplitude pass."""
+    if np.any(forcing.amplitude) and forcing.omega == 0.0 and math.sin(forcing.phase) == 0.0:
+        raise ValueError(
+            f"forcing: amplitude {np.asarray(forcing.amplitude).tolist()} applies no force: "
+            f"sin(omega * tau + phase) is 0 everywhere at omega = 0, phase = "
+            f"{forcing.phase:g}; give a nonzero omega or phase"
+        )
+    return forcing
+
+
 def _forcing_from_doc(doc) -> HarmonicForcing | None:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("forcing: expected an object with a 'kind' key")
@@ -479,13 +492,7 @@ def _forcing_from_doc(doc) -> HarmonicForcing | None:
             forcing = HarmonicForcing(doc["amplitude"], doc["omega"], doc.get("phase", 0.0))
         except (KeyError, ValueError) as exc:
             raise ValueError(f"forcing: {exc}") from exc
-        if np.any(forcing.amplitude) and forcing.omega == 0.0 and math.sin(forcing.phase) == 0.0:
-            raise ValueError(
-                f"forcing: amplitude {np.asarray(forcing.amplitude).tolist()} applies no force: "
-                f"sin(omega * tau + phase) is 0 everywhere at omega = 0, phase = "
-                f"{forcing.phase:g}; give a nonzero omega or phase"
-            )
-        return forcing
+        return check_forcing_acts(forcing)
     raise ValueError(f"forcing.kind: unknown preset {kind!r}")
 
 

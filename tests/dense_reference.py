@@ -3,7 +3,8 @@ builder of the mixed action's K, r and the symmetric indefinite
 (Bunch-Kaufman) solve with its LAPACK condition estimate, as the library ran
 them before it went sparse; the trapezoid anti-diagonal, the GL derivative
 matrix, the `deriv1` stencil and the dense Hamilton and Tonti products; and
-the outer-product running convolution. The mixed references pack the values
+the outer-product running convolution; the mixed action's value as a loop
+over model-matrix entries, one `np.dot` per pairing. The mixed references pack the values
 component by component (all nodes of u_0, then u_1, ..., then J);
 `component_major_index` maps the library's fold-ordered packing onto theirs.
 Tests compare the library kernels against these on small grids."""
@@ -13,9 +14,9 @@ import math
 import numpy as np
 from scipy.linalg import lapack, toeplitz
 
-from convact._discrete import reflected_load_weights
-from convact.fracops import gl_weights
-from convact.grid import as_order
+from convact._discrete import conv_end_linear, reflected_load_weights
+from convact.fracops import Side, frac_deriv, gl_weights
+from convact.grid import Signal, as_order, convolve_at_end
 
 
 def conv_end_matrix(grid):
@@ -117,6 +118,54 @@ def dense_mca_system(model, grid, scheme="reduced"):
     r[: d * n1] -= reflected_load_weights(f_hist, grid.h).T.ravel()
     r[n1 - 1 : d * n1 : n1] -= model.j_hat_0
     return q + q.T, r
+
+
+def loop_mca_value(model, u, J, grid, scheme="reduced"):
+    """The mixed action's value term by term, skipping zero model entries,
+    and the sum of the terms' magnitudes (the scale of its roundoff)."""
+    h = grid.h
+    d, e = model.n_dof, model.n_el
+
+    def rate(x, y):
+        return np.dot(np.diff(x), np.diff(y)[::-1]) / h
+
+    if scheme == "direct":
+        su = [frac_deriv(Side.LEFT, Signal(grid, u[:, a]), 0.5) for a in range(d)]
+        sj = [frac_deriv(Side.LEFT, Signal(grid, J[:, i]), 0.5) for i in range(e)]
+
+        def semi_ju(i, a):
+            return convolve_at_end(sj[i], su[a])
+
+        def semi_uu(a, b):
+            return convolve_at_end(su[a], su[b])
+    else:
+
+        def rate_value(x, y):
+            return np.dot(np.diff(x), (0.5 * (y[:-1] + y[1:]))[::-1]) + x[0] * y[-1]
+
+        def semi_ju(i, a):
+            return rate_value(J[:, i], u[:, a])
+
+        def semi_uu(a, b):
+            return rate_value(u[:, a], u[:, b])
+
+    terms = []
+    for a, b in zip(*np.nonzero(model.M)):
+        terms.append(0.5 * model.M[a, b] * rate(u[:, a], u[:, b]))
+    for i, j in zip(*np.nonzero(model.A)):
+        terms.append(-0.5 * model.A[i, j] * rate(J[:, i], J[:, j]))
+    for a, i in zip(*np.nonzero(model.B)):
+        terms.append(model.B[a, i] * semi_ju(i, a))
+    for a, b in zip(*np.nonzero(model.C)):
+        terms.append(0.5 * model.C[a, b] * semi_uu(a, b))
+    f_hist = model.forcing_history(grid.nodes())
+    for a in range(d):
+        terms.append(-conv_end_linear(u[:, a], f_hist[:, a], h))
+        terms.append(-u[-1, a] * model.j_hat_0[a])
+    total = 0.0
+    for term in terms:
+        total += term
+    return total, sum(abs(term) for term in terms)
 
 
 def dense_free_system(model, grid, node0, order, scheme="reduced"):

@@ -293,6 +293,19 @@ def test_composition_j_of_d_vanishing_start():
     assert r2 < 0.02
 
 
+@pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
+def test_composition_j_of_d_compares_with_u_itself(side, alpha):
+    # the boundary correction is an integral over an empty interval, so the
+    # residual is the plain interior mismatch of J^a D^a u against u
+    g = Grid(1.0, 40)
+    u = sample(lambda t: 1.0 + t - 0.7 * t * t, g)
+    keep = slice(2, g.n_steps - 1)
+    back = frac_integral(side, frac_deriv(side, u, alpha), alpha).values
+    expected = np.max(np.abs(back[keep] - u.values[keep])) / np.max(np.abs(u.values[keep]))
+    assert composition_residual(CompositionKind.J_OF_D, side, u, alpha) == expected
+
+
 def test_gl_derivative_matrix_matches_operator():
     rng = np.random.default_rng(21)
     g = Grid(2.0, 24)

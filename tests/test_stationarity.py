@@ -12,6 +12,7 @@ from dense_reference import (
     dense_mca_system,
     dense_solve,
     entries_toarray,
+    loop_mca_value,
     system_toarray,
 )
 from hypothesis import assume, given, settings
@@ -226,18 +227,19 @@ def test_assemble_rejects_wrong_kind_or_model():
         assemble(ActionKind.MCA_MDOF, DAMPED, g, 0.0, 0.0)
 
 
-def _random_coupled_model(rng) -> MdofModel:
-    """Two dofs with full M, C, A and B, forcing and impulse data."""
+def _random_coupled_model(rng, n_el: int = 2) -> MdofModel:
+    """Two dofs with full M, C, A and B, forcing and impulse data; with
+    n_el = 3, A has a 2x2 and a 1x1 block and B is 2x3."""
 
-    def spd(shift):
-        a = rng.standard_normal((2, 2))
-        return a @ a.T + shift * np.eye(2)
+    def spd(shift, size=2):
+        a = rng.standard_normal((size, size))
+        return a @ a.T + shift * np.eye(size)
 
     return MdofModel(
         M=spd(0.5),
         C=spd(0.0),
-        A_blocks=(spd(0.5),),
-        B=rng.standard_normal((2, 2)) + 2.0 * np.eye(2),
+        A_blocks=(spd(0.5),) + ((spd(0.5, 1),) if n_el == 3 else ()),
+        B=rng.standard_normal((2, n_el)) + 2.0 * np.eye(2, n_el),
         forcing=HarmonicForcing(rng.standard_normal(2), rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0)),
         j_hat_0=rng.standard_normal(2),
     )
@@ -245,16 +247,36 @@ def _random_coupled_model(rng) -> MdofModel:
 
 @pytest.mark.parametrize("scheme", ["reduced", "direct"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_coupled_assembly_matches_action_value(scheme, seed):
-    # 1/2 x^T K x + r^T x over all nodal values is the functional itself
+@pytest.mark.parametrize("n_el", [2, 3])
+def test_coupled_assembly_matches_action_value(scheme, seed, n_el):
+    # 1/2 x^T K x + r^T x over all nodal values is the functional itself;
+    # n_el = 3 gives B more columns than rows, so a transposed B shows
     rng = np.random.default_rng(seed)
-    model = _random_coupled_model(rng)
+    model = _random_coupled_model(rng, n_el)
     g = Grid(2.0, 24)
     system, r, layout = build_mca_system(model, g, scheme)
-    traj = Trajectory(g, rng.standard_normal((25, 2)), rng.standard_normal((25, 2)))
+    traj = Trajectory(g, rng.standard_normal((25, 2)), rng.standard_normal((25, n_el)))
     x = layout.pack(traj.u, traj.J)
     value = action_value(ActionKind.MCA_MDOF, model, traj, scheme=scheme)
     assert 0.5 * x @ system.matvec(x) + r @ x == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize("scheme", ["reduced", "direct"])
+def test_action_value_matches_a_loop_over_model_entries(scheme):
+    # the contraction sums in another order than the loop, so it agrees to
+    # roundoff of the terms, and a one-dof reduced value is bitwise the same
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 9, 64, 512):
+        g = Grid(rng.uniform(0.5, 5.0), n)
+        sdof = SdofModel(*rng.uniform(0.3, 3.0, 3), forcing=HarmonicForcing(0.7, 1.3, 0.2), j_hat_0=0.4)
+        for model in (sdof_as_mdof(sdof), _random_coupled_model(rng), _random_coupled_model(rng, 3)):
+            u = rng.standard_normal((n + 1, model.n_dof))
+            J = rng.standard_normal((n + 1, model.n_el))
+            value = action_value(ActionKind.MCA_MDOF, model, Trajectory(g, u, J), scheme=scheme)
+            loop, scale = loop_mca_value(model, u, J, g, scheme)
+            if scheme == "reduced" and model.n_dof == 1:
+                assert value == loop
+            assert abs(value - loop) <= 1e-15 * scale
 
 
 @pytest.mark.parametrize("scheme", ["reduced", "direct"])
