@@ -6,13 +6,16 @@ histories, so each kind maps to a pair (K, r) with
     I(x) = 1/2 x^T K x + r^T x,        K = K^T exactly,
 
 over the full node-value vector x (no constraints applied here). The mixed
-kinds' K is a `MixedSystem`: banded in fold order, it is assembled straight
-into LAPACK band storage, with node 0's couplings kept apart in a dense slab.
-HAMILTON and TONTI give K as its bilinear form (g, x) -> g^T K x on the
-`deriv1` stencil and the trapezoid weights. GURTIN's nested convolutions
-couple every pair of nodes, so its K is a matvec function. The first
-variation in a direction g is g^T (K x + r); the stationarity module
-eliminates the fixed node-0 values to obtain the solvable system.
+kinds' K is a few time-operator triplets times model-matrix blocks
+(`mca_terms`). The solve assembles them into a `MixedSystem`: banded in fold
+order, straight into LAPACK band storage, with node 0's couplings kept apart
+in a dense slab. The first variation reads them as a bilinear form on the
+node-major histories and assembles nothing. HAMILTON and TONTI also give K as
+its bilinear form (g, x) -> g^T K x, on the `deriv1` stencil and the
+trapezoid weights. GURTIN's nested convolutions couple every pair of nodes,
+so its K is a matvec function. The first variation in a direction g is
+g^T (K x + r); the stationarity module eliminates the fixed node-0 values to
+obtain the solvable system.
 
 Discretization of the mixed action: the reduced scheme (default) evaluates
 every convolution EXACTLY on the piecewise-linear interpolants of the nodal
@@ -221,20 +224,12 @@ class MixedSystem:
     slab: np.ndarray
     band: np.ndarray
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """K x over the full vector, node 0's values first."""
-        w = self.block.shape[0]
-        x0, free = x[:w], x[w:]
-        return np.concatenate([
-            self.block @ x0 + free @ self.slab,
-            self.slab @ x0 + band_matvec(self.band, free),
-        ])
 
-
-def build_mca_system(
+def mca_terms(
     model: MdofModel, grid: Grid, scheme: str = "reduced"
-) -> tuple[MixedSystem, np.ndarray, DofLayout]:
-    """K, r of the mixed convolved action over all nodal values of (u, J).
+) -> tuple[list, np.ndarray]:
+    """The mixed convolved action over all nodal values of (u, J) as its
+    quadratic terms and its linear part.
 
     Terms of the functional, with * the end-time convolution pairing:
         1/2 u'^T * M u'  -  1/2 J'^T * A J'  +  (semi J)^T * B^T (semi u)
@@ -244,8 +239,8 @@ def build_mca_system(
     piecewise-linear interpolants; the direct scheme keeps the rewrite off and
     pairs GL half-derivative histories by trapezoid quadrature.
 
-    Every term is a model matrix times a time operator, so K is a sum of
-    Kronecker products, symmetrized:
+    Every quadratic term is a model matrix times a time operator, so K is a
+    sum of Kronecker products, symmetrized:
         K = q + q^T,   q = R (x) P_R + S (x) P_S + E (x) P_S,
         P_R = [[M/2, 0], [0, -A/2]],   P_S = [[C/2, 0], [B^T, 0]],
     over the (u, J) components of a node, with R the rate pairing, S the
@@ -253,24 +248,16 @@ def build_mca_system(
     `gl_semi_pair_entries`) and E = e_0 e_n^T the reduced scheme's corner
     x(0) y(t) (absent in the direct scheme). Each time operator is a few
     (row, col, value) triplets that pair node i only with nodes j where
-    |i + j - n| <= 1; its nodes are mapped to their fold positions, which
-    puts every such pair at most 2 places apart, and each value times each
-    nonzero of P is added, in term order, straight into the storage of
-    `MixedSystem`: entries in node 0's row or column into dense slabs, the
-    free block into a band. K = q + q^T is then formed in
-    place, one pair of mirrored diagonals at a time, and the band is trimmed
-    to the nonzero half-bandwidth; no temporary is larger than the band or
-    than one term's products. Every entry sums its products in term order, as a
-    dense block-by-block sum would, and all of the direct scheme's GL memory
-    lands in the slab.
+    |i + j - n| <= 1.
+
+    Returns the terms [((rows, cols, vals), P)] in term order and r as a
+    node-major table (n_nodes, d + e) in node order, u then J in each row.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     n1 = grid.n_nodes
-    d, e = model.n_dof, model.n_el
-    layout = DofLayout(n1, d, e)
-    fold = layout.nodes()
-    w = layout.width
+    d = model.n_dof
+    w = d + model.n_el
     u, el = slice(0, d), slice(d, w)
     p_rate = np.zeros((w, w))
     p_rate[u, u], p_rate[el, el] = 0.5 * model.M, -0.5 * model.A
@@ -281,6 +268,33 @@ def build_mca_system(
     terms = [(rate_pair_entries(grid), p_rate), (semi, p_semi)]
     if scheme == "reduced":
         terms.append(((np.array([0]), np.array([n1 - 1]), np.array([1.0])), p_semi))
+    r = np.zeros((n1, w))
+    r[:, u] -= reflected_load_weights(model.forcing_history(grid.nodes()), grid.h)
+    r[-1, u] -= model.j_hat_0  # the end node
+    return terms, r
+
+
+def build_mca_system(
+    model: MdofModel, grid: Grid, scheme: str = "reduced"
+) -> tuple[MixedSystem, np.ndarray, DofLayout]:
+    """K, r of the mixed convolved action (`mca_terms`) over all nodal
+    values of (u, J), in the packing of `DofLayout`.
+
+    Each term's nodes are mapped to their fold positions, which puts every
+    coupling at most 2 places apart, and each triplet value times each
+    nonzero of P is added, in term order, straight into the storage of
+    `MixedSystem`: entries in node 0's row or column into dense slabs, the
+    free block into a band. K = q + q^T is then formed in place, one pair of
+    mirrored diagonals at a time, and the band is trimmed to the nonzero
+    half-bandwidth; no temporary is larger than the band or than one term's
+    products. Every entry sums its products in term order, as a dense
+    block-by-block sum would, and all of the direct scheme's GL memory lands
+    in the slab.
+    """
+    terms, r = mca_terms(model, grid, scheme)
+    layout = DofLayout(grid.n_nodes, model.n_dof, model.n_el)
+    fold = layout.nodes()
+    w = layout.width
     rank = np.argsort(fold)  # the fold position of each node
     # a bound on |i - j| over the free block; the band is trimmed below
     reach = w - 1 + w * max(
@@ -318,11 +332,33 @@ def build_mca_system(
         slab=q_col0[w:],
         band=q[reach - half : reach + half + 1],
     )
-
-    r = np.zeros((n1, w))
-    r[:, u] -= reflected_load_weights(model.forcing_history(grid.nodes()), grid.h)
-    r[-1, u] -= model.j_hat_0  # the end node
     return system, r[fold].ravel(), layout
+
+
+def build_mca_form(
+    model: MdofModel, grid: Grid, scheme: str = "reduced"
+) -> tuple[Callable[[np.ndarray, np.ndarray], float], np.ndarray]:
+    """K, r of the mixed convolved action, K as its bilinear form on
+    node-major tables (n_nodes, d + e) in node order, u then J per row:
+
+        g^T K x = sum_t <P_t, (v G[rows])^T X[cols]> + <P_t, (v X[rows])^T G[cols]>
+
+    over the terms (rows, cols, v), P_t of `mca_terms`, with <., .> the
+    entrywise sum and v scaling the rows; the two addends are g^T q_t x and
+    x^T q_t g. Nothing is assembled: each term is four row gathers and two
+    (d + e)-square products. Swapping g and x swaps the two addends of each
+    term, so the form is bitwise symmetric in (g, x). r is the load table of
+    `mca_terms`."""
+    terms, r = mca_terms(model, grid, scheme)
+
+    def form(g, x):
+        total = 0.0
+        for (rows, cols, vals), coef in terms:
+            g_r, g_c, x_r, x_c = (np.take(y, at, axis=0) for y in (g, x) for at in (rows, cols))
+            total += np.sum(coef * ((g_r.T * vals) @ x_c + (x_r.T * vals) @ g_c))
+        return total
+
+    return form, r
 
 
 def build_hamilton_system(

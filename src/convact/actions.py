@@ -25,7 +25,7 @@ from ._discrete import (
     SCHEMES,
     build_gurtin_system,
     build_hamilton_system,
-    build_mca_system,
+    build_mca_form,
     build_tonti_system,
     conv_end_linear,
     end_pairs,
@@ -250,16 +250,18 @@ def action_variation(
 ) -> float:
     """First (Gateaux) variation of the functional at `traj` in `direction`,
     g^T (K x + r), evaluated in closed form from the discrete quadratic form:
-    the mixed kinds' assembled band, GURTIN's matvec and the HAMILTON and
-    TONTI bilinear forms."""
+    the mixed kinds' term triplets read as a bilinear form on the (u, J)
+    histories (nothing assembled), GURTIN's matvec and the HAMILTON and
+    TONTI bilinear forms. The mixed value takes another route, one
+    contraction per term that reads no triplets, so the two cross-check."""
     _check_kind_inputs(kind, model, traj)
     _check_kind_inputs(kind, model, direction, "direction")
     _check_direction_constraints(kind, direction)
     model, ics, traj, direction = _one_dof_view(kind, model, ics, traj, direction)
     if kind in MIXED_KINDS:
-        system, r, layout = build_mca_system(model, traj.grid, scheme)
-        x, g = layout.pack(traj.u, traj.J), layout.pack(direction.u, direction.J)
-        return float(g @ (system.matvec(x) + r))
+        form, r = build_mca_form(model, traj.grid, scheme)
+        x, g = (np.hstack([t.u, t.J]) for t in (traj, direction))
+        return float(form(g, x) + np.sum(g * r))
     x, g = _signal_of(traj).values, _signal_of(direction).values
     if kind is ActionKind.GURTIN:
         if ics is None:

@@ -95,20 +95,27 @@ def frac_deriv(side: Side, u: Signal, alpha) -> Signal:
     return Signal(u.grid, scale * vals)
 
 
-def _left_integral_values(values: np.ndarray, h: float, a: float) -> np.ndarray:
-    """Left RL integral by exact integration of the kernel against the
-    piecewise-linear interpolant of `values`; result[0] = 0."""
-    n = values.size - 1
-    m = np.arange(n + 2, dtype=float)
-    pow1 = m**a  # m^alpha
-    pow2 = m ** (a + 1.0)
-    # Node weights of the product rule, scaled by h^a / Gamma(a + 2):
-    #   weight on u_i at node k:  d2[k-i] for 0 < i < k,
-    #   boundary weights: `first` on u_k, b0[k] on u_0.
+@functools.lru_cache(maxsize=32)
+def _product_weights(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node weights (d2, b0) of the product rule on n steps, scaled by
+    h^a / Gamma(a + 2): d2[k-i-1] on u_i at node k for 0 < i < k, and b0[k]
+    on u_0; the weight on u_k itself is 1. They depend on (a, n) alone, so
+    they are cached and read-only, as the GL weights are."""
+    pow2 = np.arange(n + 2, dtype=float) ** (a + 1.0)
     d2 = pow2[2:] - 2.0 * pow2[1:-1] + pow2[:-2]  # second difference of m^(a+1)
     k = np.arange(n + 1, dtype=float)
     b0 = np.zeros(n + 1)
     b0[1:] = (k[1:] - 1.0) ** (a + 1.0) - (k[1:] - 1.0 - a) * k[1:] ** a
+    d2.setflags(write=False)
+    b0.setflags(write=False)
+    return d2, b0
+
+
+def _left_integral_values(values: np.ndarray, h: float, a: float) -> np.ndarray:
+    """Left RL integral by exact integration of the kernel against the
+    piecewise-linear interpolant of `values`; result[0] = 0."""
+    n = values.size - 1
+    d2, b0 = _product_weights(a, n)
     scale = h**a / math.gamma(a + 2.0)
     out = np.zeros(n + 1)
     # Toeplitz part sum_{i=1..k-1} d2[k-i-1] u_i sits at offset k-2 of the

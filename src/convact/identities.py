@@ -129,32 +129,38 @@ def _riemann_pair(a: Signal, b: Signal, convolved: bool) -> float:
     return float(a.grid.h * np.dot(a.values, bb))
 
 
-def ibp_residual(kind: IdentityKind, phi: Signal, psi: Signal, alpha=None) -> IdentityReport:
-    """Evaluate one integration-by-parts identity on a pair of signals.
-
-    `alpha` is ignored for the integer-order kinds and mandatory otherwise.
-    """
-    if phi.grid != psi.grid:
-        raise ValueError("phi and psi must share a grid")
-    g = phi.grid
-    n = g.n_steps
-
+def _order_of(kind: IdentityKind, alpha) -> float | None:
+    """The fractional order a kind is evaluated at: None for the integer
+    kinds, which ignore `alpha`; mandatory otherwise."""
     if kind in INTEGER_KINDS:
-        a = None
-    else:
-        if alpha is None:
-            raise ValueError(f"{kind.value} requires a fractional order")
-        a = as_order(alpha).alpha
-        if kind in COMPLEMENTARY_KINDS and a >= 1.0:
-            raise ValueError(f"{kind.value} requires alpha < 1 (complement degenerates)")
+        return None
+    if alpha is None:
+        raise ValueError(f"{kind.value} requires a fractional order")
+    a = as_order(alpha).alpha
+    if kind in COMPLEMENTARY_KINDS and a >= 1.0:
+        raise ValueError(f"{kind.value} requires alpha < 1 (complement degenerates)")
+    return a
 
+
+def _gl(memo: dict, side: Side, u: Signal, order: float) -> Signal:
+    """`frac_deriv(side, u, order)`, computed once per key of `memo`.
+    Signals hash by identity, so the key also keeps `u` alive."""
+    key = (side, u, order)
+    if key not in memo:
+        memo[key] = frac_deriv(side, u, order)
+    return memo[key]
+
+
+def _sides(kind: IdentityKind, phi: Signal, psi: Signal, a, memo: dict) -> tuple[float, float]:
+    """lhs and rhs of one identity, its GL derivatives taken from `memo`."""
+    n = phi.grid.n_steps
     if kind is IdentityKind.INNER_INTEGRAL:
         lhs = inner_product(phi, frac_integral(Side.LEFT, psi, a))
         rhs = inner_product(frac_integral(Side.RIGHT, phi, a), psi)
     elif kind is IdentityKind.INNER_DERIV:
-        lhs = inner_product(phi, frac_deriv(Side.LEFT, psi, a))
+        lhs = inner_product(phi, _gl(memo, Side.LEFT, psi, a))
         rhs = (
-            inner_product(frac_deriv(Side.RIGHT, phi, a), psi)
+            inner_product(_gl(memo, Side.RIGHT, phi, a), psi)
             + _fi_at_base(Side.RIGHT, phi, 1.0 - a) * psi.values[n]
             - phi.values[0] * _fi_at_base(Side.LEFT, psi, 1.0 - a)
         )
@@ -166,16 +172,16 @@ def ibp_residual(kind: IdentityKind, phi: Signal, psi: Signal, alpha=None) -> Id
             - phi.values[0] * psi.values[0]
         )
     elif kind is IdentityKind.CONV_LEFT:
-        lhs = convolve_at_end(phi, frac_deriv(Side.LEFT, psi, a))
+        lhs = convolve_at_end(phi, _gl(memo, Side.LEFT, psi, a))
         rhs = (
-            convolve_at_end(frac_deriv(Side.LEFT, phi, a), psi)
+            convolve_at_end(_gl(memo, Side.LEFT, phi, a), psi)
             + _fi_at_base(Side.LEFT, phi, 1.0 - a) * psi.values[n]
             - phi.values[n] * _fi_at_base(Side.LEFT, psi, 1.0 - a)
         )
     elif kind is IdentityKind.CONV_RIGHT:
-        lhs = convolve_at_end(phi, frac_deriv(Side.RIGHT, psi, a))
+        lhs = convolve_at_end(phi, _gl(memo, Side.RIGHT, psi, a))
         rhs = (
-            convolve_at_end(frac_deriv(Side.RIGHT, phi, a), psi)
+            convolve_at_end(_gl(memo, Side.RIGHT, phi, a), psi)
             + _fi_at_base(Side.RIGHT, phi, 1.0 - a) * psi.values[0]
             - phi.values[0] * _fi_at_base(Side.RIGHT, psi, 1.0 - a)
         )
@@ -188,12 +194,23 @@ def ibp_residual(kind: IdentityKind, phi: Signal, psi: Signal, alpha=None) -> Id
         )
     elif kind is IdentityKind.CONV_COMPLEMENTARY:
         lhs = _riemann_pair(
-            frac_deriv(Side.LEFT, phi, 1.0 - a), frac_deriv(Side.LEFT, psi, a), convolved=True
+            _gl(memo, Side.LEFT, phi, 1.0 - a), _gl(memo, Side.LEFT, psi, a), convolved=True
         )
         rhs = convolve_at_end(_d1(phi), psi) + phi.values[0] * psi.values[n]
     else:
         raise ValueError(f"unknown identity kind {kind!r}")
-    return _report(kind, a, g.h, lhs, rhs)
+    return lhs, rhs
+
+
+def ibp_residual(kind: IdentityKind, phi: Signal, psi: Signal, alpha=None) -> IdentityReport:
+    """Evaluate one integration-by-parts identity on a pair of signals.
+
+    `alpha` is ignored for the integer-order kinds and mandatory otherwise.
+    """
+    if phi.grid != psi.grid:
+        raise ValueError("phi and psi must share a grid")
+    a = _order_of(kind, alpha)
+    return _report(kind, a, phi.grid.h, *_sides(kind, phi, psi, a, {}))
 
 
 def inner_u_udot(u: Signal) -> IdentityReport:
@@ -289,31 +306,46 @@ def run_identity_sweep(
     no order is measurable.) Integer kinds use free ends in both, so their
     released boundary terms are exercised. The three profiles are evaluated
     on the node array once per grid and shared by every cell on it.
+
+    The kinds of one (alpha, grid) cell share their GL derivatives: INNER_DERIV,
+    CONV_LEFT, CONV_RIGHT and CONV_COMPLEMENTARY need 8 of them but only 5
+    distinct ones, each computed once. Every report is bitwise the one
+    `ibp_residual` gives for the same cell. The shared derivatives live for
+    one grid, so memory stays O(n).
     """
     if sorted(set(n_list)) != list(n_list):
         raise ValueError("n_list must be strictly increasing")
-    free_phi = trig_profile(seed, t_final, vanish_ends=False)
-    pinned_phi = trig_profile(seed, t_final, vanish_ends=True)
-    free_psi = trig_profile(seed + 1, t_final, vanish_ends=False)
-    profiles = {}
+    profiles = (
+        trig_profile(seed, t_final, vanish_ends=False),  # phi of the integer kinds
+        trig_profile(seed, t_final, vanish_ends=True),  # phi of the fractional kinds
+        trig_profile(seed + 1, t_final, vanish_ends=False),  # psi
+    )
+    cells = [
+        (kind, alpha)
+        for kind in kinds
+        for alpha in ([None] if kind in INTEGER_KINDS else alphas)
+    ]
+    reports: dict = {}
     for n in n_list:
         grid = Grid(t_final, n)
         taus = grid.nodes()
-        profiles[n] = tuple(Signal(grid, f(taus)) for f in (free_phi, pinned_phi, free_psi))
+        free, pinned, psi = (Signal(grid, f(taus)) for f in profiles)
+        memos: dict = {}  # one per alpha
+        for kind, alpha in cells:
+            phi = free if kind in INTEGER_KINDS else pinned
+            a = _order_of(kind, alpha)
+            sides = _sides(kind, phi, psi, a, memos.setdefault(alpha, {}))
+            reports[kind, alpha, n] = _report(kind, a, grid.h, *sides)
     rows: list[SweepRow] = []
-    for kind in kinds:
-        kind_alphas: Sequence[float | None] = [None] if kind in INTEGER_KINDS else list(alphas)
-        for alpha in kind_alphas:
-            prev: IdentityReport | None = None
-            for n in n_list:
-                free, pinned, psi = profiles[n]
-                phi = free if kind in INTEGER_KINDS else pinned
-                rep = ibp_residual(kind, phi, psi, alpha)
-                order = None
-                if prev is not None and rep.residual > 0.0 and prev.residual > 0.0:
-                    order = math.log2(prev.residual / rep.residual)
-                rows.append(SweepRow(rep, n, order))
-                prev = rep
+    for kind, alpha in cells:
+        prev: IdentityReport | None = None
+        for n in n_list:
+            rep = reports[kind, alpha, n]
+            order = None
+            if prev is not None and rep.residual > 0.0 and prev.residual > 0.0:
+                order = math.log2(prev.residual / rep.residual)
+            rows.append(SweepRow(rep, n, order))
+            prev = rep
     return rows
 
 

@@ -15,6 +15,7 @@ scipy.linalg's `expm` when it runs.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -105,6 +106,25 @@ class SdofModel:
 
     def forcing_signal(self, grid: Grid) -> Signal:
         return Signal(grid, _forcing_samples(self.forcing, grid.nodes()))
+
+    @functools.cached_property
+    def _mdof_view(self) -> MdofModel:
+        """The one-dof `MdofModel` of `sdof_as_mdof`, built and validated at
+        its first use and kept on this instance; the fields are frozen, so it
+        stays valid."""
+        amp = None
+        if self.forcing is not None:
+            amplitude = np.array([float(self.forcing.amplitude)])
+            amplitude.setflags(write=False)  # the view is shared by every caller
+            amp = HarmonicForcing(amplitude, self.forcing.omega, self.forcing.phase)
+        return MdofModel(
+            M=np.array([[self.m]]),
+            C=np.array([[self.c]]),
+            A_blocks=(np.array([[self.a]]),),
+            B=np.array([[1.0]]),
+            forcing=amp,
+            j_hat_0=np.array([self.j_hat_0]),
+        )
 
 
 def _check_symmetric(name: str, mat: np.ndarray):
@@ -417,22 +437,9 @@ def build_bar_1d(
 def sdof_as_mdof(model: SdofModel) -> MdofModel:
     """One-dof embedding of an SdofModel; the mixed single-dof action is
     assembled, evaluated and solved through it as the 1-dof case of the
-    multi-dof code."""
-    amp = None
-    if model.forcing is not None:
-        amp = HarmonicForcing(
-            np.array([float(model.forcing.amplitude)]),
-            model.forcing.omega,
-            model.forcing.phase,
-        )
-    return MdofModel(
-        M=np.array([[model.m]]),
-        C=np.array([[model.c]]),
-        A_blocks=(np.array([[model.a]]),),
-        B=np.array([[1.0]]),
-        forcing=amp,
-        j_hat_0=np.array([model.j_hat_0]),
-    )
+    multi-dof code. It is built once per model: every call on the same
+    model returns the same (read-only) MdofModel."""
+    return model._mdof_view
 
 
 # ---------------------------------------------------------------------------

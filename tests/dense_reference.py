@@ -4,7 +4,8 @@ builder of the mixed action's K, r and the symmetric indefinite
 them before it went sparse; the trapezoid anti-diagonal, the GL derivative
 matrix, the `deriv1` stencil and the dense Hamilton and Tonti products; and
 the outer-product running convolution; the mixed action's value as a loop
-over model-matrix entries, one `np.dot` per pairing. The mixed references pack the values
+over model-matrix entries, one `np.dot` per pairing; K x of an assembled
+`MixedSystem` through its band. The mixed references pack the values
 component by component (all nodes of u_0, then u_1, ..., then J);
 `component_major_index` maps the library's fold-ordered packing onto theirs.
 Tests compare the library kernels against these on small grids."""
@@ -14,7 +15,7 @@ import math
 import numpy as np
 from scipy.linalg import lapack, toeplitz
 
-from convact._discrete import conv_end_linear, reflected_load_weights
+from convact._discrete import band_matvec, conv_end_linear, reflected_load_weights
 from convact.fracops import Side, frac_deriv, gl_weights
 from convact.grid import Signal, as_order, convolve_at_end
 
@@ -82,6 +83,17 @@ def system_toarray(system):
     inside = (row >= 0) & (row < n)
     K[w + row[inside], w + col[inside]] = system.band[inside]
     return K
+
+
+def system_matvec(system, x):
+    """K x over the full vector of a `MixedSystem`, node 0's values first:
+    the band route that the library's solve applies to the free values."""
+    w = system.block.shape[0]
+    x0, free = x[:w], x[w:]
+    return np.concatenate([
+        system.block @ x0 + free @ system.slab,
+        system.slab @ x0 + band_matvec(system.band, free),
+    ])
 
 
 def component_major_index(layout):

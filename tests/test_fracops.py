@@ -5,6 +5,7 @@ import pytest
 from dense_reference import gl_derivative_matrix
 
 from convact.fracops import (
+    _product_weights,
     CompositionKind,
     Side,
     composition_residual,
@@ -109,6 +110,40 @@ def test_frac_integral_matches_brute_force(alpha):
     for k in (7, 31, 64):
         ref = brute_left_integral(f, g.nodes()[k], alpha)
         assert out.values[k] == pytest.approx(ref, abs=3e-4)
+
+
+def fresh_left_integral(values, h, a):
+    """The product rule with its node weights computed for this call alone:
+    d2 on the interior samples, b0 on u_0 and 1 on u_k, scaled by
+    h^a / Gamma(a + 2)."""
+    n = values.size - 1
+    m = np.arange(n + 2, dtype=float)
+    pow2 = m ** (a + 1.0)
+    d2 = pow2[2:] - 2.0 * pow2[1:-1] + pow2[:-2]
+    k = np.arange(n + 1, dtype=float)
+    b0 = np.zeros(n + 1)
+    b0[1:] = (k[1:] - 1.0) ** (a + 1.0) - (k[1:] - 1.0 - a) * k[1:] ** a
+    for_k = np.zeros(n + 1)
+    if n >= 2:
+        for_k[2:] = np.convolve(values[1:], d2)[: n - 1]
+    out = np.zeros(n + 1)
+    out[1:] = h**a / math.gamma(a + 2.0) * (values[1:] + for_k[1:] + b0[1:] * values[0])
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
+@pytest.mark.parametrize("n", [2, 3, 64, 1000])
+def test_frac_integral_cached_weights_are_bitwise_fresh(alpha, n):
+    rng = np.random.default_rng(n)
+    g = Grid(1.7, n)
+    u = Signal(g, rng.standard_normal(n + 1))
+    left = fresh_left_integral(u.values, g.h, alpha)
+    right = fresh_left_integral(u.values[::-1], g.h, alpha)[::-1]
+    for _ in range(2):  # the second call is served from the cache
+        assert frac_integral(Side.LEFT, u, alpha).values.tobytes() == left.tobytes()
+        assert frac_integral(Side.RIGHT, u, alpha).values.tobytes() == right.tobytes()
+    for w in _product_weights(float(alpha), n):
+        assert not w.flags.writeable
 
 
 def test_frac_integral_exact_for_piecewise_linear():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from convact.fracops import Side, frac_integral
+from convact.fracops import Side, frac_deriv, frac_integral
 from convact.grid import Grid, Signal, sample
 from convact.identities import (
     _fi_at_base,
@@ -270,21 +270,22 @@ def _fresh_cell(kind, alpha, grid, seed):
 
 
 def test_sweep_equals_per_cell_evaluation_bitwise():
-    n_list, seed = [32, 64, 128], 11
-    rows = run_identity_sweep(list(IdentityKind), ALL_ALPHAS, n_list, t_final=1.5, seed=seed)
-    cells = [
-        (kind, alpha, n)
-        for kind in IdentityKind
-        for alpha in ([None] if kind in INTEGER_KINDS else ALL_ALPHAS)
-        for n in n_list
-    ]
-    assert len(rows) == len(cells)
-    for row, (kind, alpha, n) in zip(rows, cells):
-        ref = _fresh_cell(kind, alpha, Grid(1.5, n), seed)
-        assert (row.report.kind, row.report.alpha, row.n_steps) == (ref.kind, ref.alpha, n)
-        for name in ("lhs", "rhs", "residual"):
-            got, want = getattr(row.report, name), getattr(ref, name)
-            assert got.hex() == want.hex(), (kind, alpha, n, name)
+    seed = 11
+    for n_list in ([8, 16, 64], [32, 64, 128]):
+        rows = run_identity_sweep(list(IdentityKind), ALL_ALPHAS, n_list, t_final=1.5, seed=seed)
+        cells = [
+            (kind, alpha, n)
+            for kind in IdentityKind
+            for alpha in ([None] if kind in INTEGER_KINDS else ALL_ALPHAS)
+            for n in n_list
+        ]
+        assert len(rows) == len(cells)
+        for row, (kind, alpha, n) in zip(rows, cells):
+            ref = _fresh_cell(kind, alpha, Grid(1.5, n), seed)
+            assert (row.report.kind, row.report.alpha, row.n_steps) == (ref.kind, ref.alpha, n)
+            for name in ("lhs", "rhs", "residual"):
+                got, want = getattr(row.report, name), getattr(ref, name)
+                assert got.hex() == want.hex(), (kind, alpha, n, name)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2024])
@@ -324,6 +325,27 @@ def test_sweep_samples_three_profiles_per_grid(monkeypatch):
     monkeypatch.setattr(identities, "trig_profile", counting_profile)
     run_identity_sweep(list(IdentityKind), ALL_ALPHAS, [32, 64, 128])
     assert sorted(calls) == [32] * 3 + [64] * 3 + [128] * 3
+
+
+def test_sweep_takes_five_gl_derivatives_per_fractional_cell(monkeypatch):
+    import convact.identities as identities
+
+    calls = []
+
+    def counting_deriv(side, u, order):
+        calls.append((side, order))
+        return frac_deriv(side, u, order)
+
+    monkeypatch.setattr(identities, "frac_deriv", counting_deriv)
+    # no order here is 1/2 or another's complement, so no two cells share one
+    alphas, n_list = (0.3, 0.45, 0.8), [16, 32, 64]
+    fractional = [kind for kind in IdentityKind if kind not in INTEGER_KINDS]
+    run_identity_sweep(fractional, alphas, n_list)
+    assert len(calls) == 5 * len(alphas) * len(n_list)
+    calls.clear()
+    for kind in fractional:  # alone, a cell's kinds take 8
+        ibp_residual(kind, sample(np.sin, Grid(1.0, 16)), sample(np.cos, Grid(1.0, 16)), 0.3)
+    assert len(calls) == 8
 
 
 def test_base_node_integral_is_bitwise_the_full_integral_there():

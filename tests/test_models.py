@@ -105,6 +105,19 @@ def test_analytic_rejects_undamped_resonance():
         analytic_sdof(model, 0.0, 0.0, Grid(1.0, 8))
 
 
+def test_sdof_as_mdof_is_built_once_per_model():
+    model = SdofModel(1.5, 0.3, 2.0, forcing=HarmonicForcing(0.5, 1.2, 0.1), j_hat_0=0.2)
+    view = sdof_as_mdof(model)
+    assert sdof_as_mdof(model) is view
+    twin = SdofModel(1.5, 0.3, 2.0, forcing=HarmonicForcing(0.5, 1.2, 0.1), j_hat_0=0.2)
+    assert twin == model and sdof_as_mdof(twin) is not view  # kept per instance
+    assert (view.M, view.C, view.A, view.B, view.j_hat_0) == ([[1.5]], [[0.3]], [[0.5]], [[1.0]], [0.2])
+    assert (view.forcing.amplitude, view.forcing.omega, view.forcing.phase) == ([0.5], 1.2, 0.1)
+    for arr in (view.M, view.C, view.A, view.B, view.j_hat_0, view.forcing.amplitude):
+        assert not arr.flags.writeable
+    assert sdof_as_mdof(SdofModel(1.0, 0.0, 1.0)).forcing is None
+
+
 def _sdof_initials(model, u0, v0):
     u, j = mdof_mixed_initials(sdof_as_mdof(model), [u0], [v0])
     return float(u[0]), float(j[0])

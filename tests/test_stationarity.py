@@ -13,12 +13,19 @@ from dense_reference import (
     dense_solve,
     entries_toarray,
     loop_mca_value,
+    system_matvec,
     system_toarray,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from convact._discrete import DofLayout, build_mca_system, gl_semi_pair_entries
+from convact._discrete import (
+    DofLayout,
+    MixedSystem,
+    build_mca_form,
+    build_mca_system,
+    gl_semi_pair_entries,
+)
 from convact.actions import ActionKind, action_value, action_variation, el_residuals
 from convact.grid import Grid
 from convact.models import (
@@ -258,7 +265,7 @@ def test_coupled_assembly_matches_action_value(scheme, seed, n_el):
     traj = Trajectory(g, rng.standard_normal((25, 2)), rng.standard_normal((25, n_el)))
     x = layout.pack(traj.u, traj.J)
     value = action_value(ActionKind.MCA_MDOF, model, traj, scheme=scheme)
-    assert 0.5 * x @ system.matvec(x) + r @ x == pytest.approx(value, rel=1e-12)
+    assert 0.5 * x @ system_matvec(system, x) + r @ x == pytest.approx(value, rel=1e-12)
 
 
 @pytest.mark.parametrize("scheme", ["reduced", "direct"])
@@ -395,7 +402,52 @@ def test_matvec_matches_the_dense_product(n, scheme):
         K_ref = dense_mca_system(model, g, scheme)[0][np.ix_(order, order)]
         x = rng.standard_normal(layout.size)
         ref = K_ref @ x
-        assert np.max(np.abs(system.matvec(x) - ref)) <= 1e-15 * np.max(np.abs(ref)), name
+        assert np.max(np.abs(system_matvec(system, x) - ref)) <= 1e-15 * np.max(np.abs(ref)), name
+
+
+@pytest.mark.parametrize("scheme", ["reduced", "direct"])
+def test_mixed_form_matches_the_band(scheme):
+    # g^T (K x + r) from the term triplets against the assembled band, for
+    # values at every node (node 0 holds the direct scheme's GL corner)
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 9, 64, 512):
+        g = Grid(rng.uniform(0.5, 8.0), n)
+        for model in (sdof_as_mdof(FORCED), _random_coupled_model(rng), _random_coupled_model(rng, 3)):
+            system, r, layout = build_mca_system(model, g, scheme)
+            form, r_table = build_mca_form(model, g, scheme)
+            d = model.n_dof
+            assert layout.pack(r_table[:, :d], r_table[:, d:]).tobytes() == r.tobytes()
+            abs_system = MixedSystem(np.abs(system.block), np.abs(system.slab), np.abs(system.band))
+            rough = rng.standard_normal((2, n + 1, layout.width))
+            for X, G in (rough, np.cumsum(rough, axis=1) / math.sqrt(n)):
+                x, gv = (layout.pack(t[:, :d], t[:, d:]) for t in (X, G))
+                band = gv @ (system_matvec(system, x) + r)
+                scale = np.abs(gv) @ (system_matvec(abs_system, np.abs(x)) + np.abs(r))
+                assert abs(form(G, X) + np.sum(G * r_table) - band) <= 1e-15 * scale, (n, model.n_el)
+                assert form(G, X) == form(X, G)
+
+
+def test_mixed_variation_assembles_nothing(monkeypatch):
+    import convact._discrete as discrete
+    import convact.actions as actions
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the variation assembled the band")
+
+    for module in (discrete, actions):
+        monkeypatch.setattr(module, "build_mca_system", refuse, raising=False)
+    g = Grid(10.0, 64)
+    traj = analytic_sdof(FORCED, 1.0, 0.0, g)
+    tau = g.nodes()
+    direction = Trajectory(g, np.sin(tau), tau * (10.0 - tau))
+    column = Trajectory(g, traj.u[:, None], traj.J[:, None])
+    column_direction = Trajectory(g, direction.u[:, None], direction.J[:, None])
+    for scheme in ("reduced", "direct"):
+        one = action_variation(ActionKind.MCA_SDOF, FORCED, traj, direction, scheme=scheme)
+        many = action_variation(
+            ActionKind.MCA_MDOF, sdof_as_mdof(FORCED), column, column_direction, scheme=scheme
+        )
+        assert one == many
 
 
 def test_mixed_solve_and_variation_enter_no_scipy_sparse():
