@@ -7,10 +7,10 @@ histories, so each kind maps to a pair (K, r) with
 
 over the full node-value vector x (no constraints applied here). The mixed
 kinds' K is a few time-operator triplets times model-matrix blocks
-(`mca_terms`). The solve assembles them into a `MixedSystem`: banded in fold
-order, straight into LAPACK band storage, with node 0's couplings kept apart
-in a dense slab. The first variation reads them as a bilinear form on the
-node-major histories and assembles nothing. HAMILTON and TONTI also give K as
+(`mca_terms`). The solve assembles them, node 0's couplings included, into
+one band in fold order, straight into LAPACK band storage. The first
+variation reads them as a bilinear form on the node-major histories and
+assembles nothing. HAMILTON and TONTI also give K as
 its bilinear form (g, x) -> g^T K x, on the `deriv1` stencil and the
 trapezoid weights. GURTIN's nested convolutions couple every pair of nodes,
 so its K is a matvec function. The first variation in a direction g is
@@ -25,9 +25,10 @@ Stationarity of an exactly-evaluated functional over the trial space is a
 genuine Ritz method, and its one-cell-wide stencils control the grid-period
 oscillation mode that wide centered stencils leave unconstrained. The direct
 scheme replaces the rewritten semi-derivative pairings with Grunwald-Letnikov
-half-derivative signals paired by the trapezoid anti-diagonal rule; it is the
-cross-check path. The displacement-only functionals keep nodal quadrature
-(trapezoid pairings, second-order difference stencils).
+half-derivative signals paired by the all-node Riemann rule, whose closed form
+is a signed anti-bidiagonal (`gl_semi_pair_entries`); it is the cross-check
+path, first order in h. The displacement-only functionals keep nodal
+quadrature (trapezoid pairings, second-order difference stencils).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._stencils import deriv1
-from .fracops import gl_weights
 from .grid import Grid
 from .models import MdofModel, SdofModel
 
@@ -78,13 +78,6 @@ class DofLayout:
         k = np.arange(n + 1)
         return np.where((k + 1) // 2 % 2 == 0, k // 2, n - k // 2)
 
-    def pack(self, u: np.ndarray, J: np.ndarray) -> np.ndarray:
-        table = np.hstack([
-            np.reshape(np.asarray(u, dtype=float), (self.n_nodes, self.n_dof)),
-            np.reshape(np.asarray(J, dtype=float), (self.n_nodes, self.n_el)),
-        ])
-        return table[self.nodes()].ravel()
-
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         table = np.reshape(x, (self.n_nodes, self.width))[np.argsort(self.nodes())]
         return table[:, : self.n_dof].copy(), table[:, self.n_dof :].copy()
@@ -123,29 +116,18 @@ def rate_value_pair_entries(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def gl_semi_pair_entries(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """[G x * G y](t) for the half-order GL derivative G = h^(-1/2) T(w),
-    paired by the trapezoid anti-diagonal W, as (row, col, value) triplets of
-    G^T W G in closed form,
-
-        S = Pi - 1/2 (e_0 v^T + v e_0^T),   v = (w_n, ..., w_0),
-
-    with Pi = +1 at (i, n - i) and -1 at (i, n - 1 - i). The half-order
-    weights w are the coefficients of (1 - z)^(1/2), so their convolution
-    square is the first difference (1, -1, 0, ...), and a Toeplitz matrix is
-    persymmetric; h^(-1/2) squared cancels W's factor h. All of the GL memory
-    sits in row and column 0, which hold Pi's row 0 minus v/2 (twice at
-    (0, 0)); elsewhere S is Pi."""
+    paired by the all-node Riemann rule R = h J (J the anti-identity), as
+    (row, col, value) triplets of G^T R G in closed form: Pi, +1 at
+    (i, n - i) and -1 at (i, n - 1 - i). The half-order weights w are the
+    coefficients of (1 - z)^(1/2), so their convolution square is the first
+    difference (1, -1, 0, ...); a Toeplitz matrix is persymmetric, so
+    T^T J T = J T(w * w); and h^(-1/2) squared cancels R's factor h."""
     n = grid.n_steps
-    half_v = 0.5 * gl_weights(0.5, n + 1).w[::-1]
-    edge = np.zeros(n + 1)
-    edge[n], edge[n - 1] = 1.0, -1.0  # Pi's row 0, which is also its column 0
-    edge -= half_v
-    edge[0] -= half_v[0]
-    nodes = np.arange(n + 1)
-    plus, minus = nodes[1:n], nodes[1 : n - 1]  # rows of Pi's two diagonals off the edges
+    i = np.arange(n + 1)
     return (
-        np.concatenate([0 * nodes, nodes[1:], plus, minus]),
-        np.concatenate([nodes, 0 * nodes[1:], n - plus, n - 1 - minus]),
-        np.concatenate([edge, edge[1:], np.ones(n - 1), np.full(n - 2, -1.0)]),
+        np.concatenate([i, i[:-1]]),
+        np.concatenate([n - i, n - 1 - i[:-1]]),
+        np.concatenate([np.ones(n + 1), np.full(n, -1.0)]),
     )
 
 
@@ -196,8 +178,8 @@ def rate_value_pair_end(x: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
 
 
 def band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """K x for K in the band storage of `MixedSystem.band`, one diagonal at a
-    time in O(N) memory. Each row adds its terms in increasing column order,
+    """K x for K in band storage (`build_mca_system`), one diagonal at a time
+    in O(N) memory. Each row adds its terms in increasing column order,
     as a CSR product does."""
     b = len(band) // 2
     n = band.shape[1]
@@ -206,23 +188,6 @@ def band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
         cols = slice(max(-o, 0), n - max(o, 0))
         y[max(o, 0) : n + min(o, 0)] += diagonal[cols] * x[cols]
     return y
-
-
-@dataclass(frozen=True)
-class MixedSystem:
-    """K of the mixed action over all nodal values in `DofLayout` order, in
-    three parts, for w values at node 0 and N free values:
-
-    - `block` (w, w): K among the node-0 values;
-    - `slab` (N, w), C order: the free values' coupling to node 0;
-    - `band` (2b + 1, N): K among the free values in LAPACK's general band
-      storage, band[b + i - j, j] = K[i, j] for |i - j| <= b, the
-      half-bandwidth, so row b + o holds the diagonal i - j = o.
-    """
-
-    block: np.ndarray
-    slab: np.ndarray
-    band: np.ndarray
 
 
 def mca_terms(
@@ -237,7 +202,7 @@ def mca_terms(
     The reduced scheme rewrites the semi-derivative pairings as
     x' * y + x(0) y(t) and evaluates every convolution exactly on the
     piecewise-linear interpolants; the direct scheme keeps the rewrite off and
-    pairs GL half-derivative histories by trapezoid quadrature.
+    pairs GL half-derivative histories by the all-node Riemann rule.
 
     Every quadratic term is a model matrix times a time operator, so K is a
     sum of Kronecker products, symmetrized:
@@ -276,63 +241,39 @@ def mca_terms(
 
 def build_mca_system(
     model: MdofModel, grid: Grid, scheme: str = "reduced"
-) -> tuple[MixedSystem, np.ndarray, DofLayout]:
+) -> tuple[np.ndarray, np.ndarray, DofLayout]:
     """K, r of the mixed convolved action (`mca_terms`) over all nodal
-    values of (u, J), in the packing of `DofLayout`.
+    values of (u, J), in the packing of `DofLayout`, K in LAPACK's general
+    band storage band[b + i - j, j] = K[i, j] for |i - j| <= b, so row b + o
+    holds the diagonal i - j = o.
 
     Each term's nodes are mapped to their fold positions, which puts every
-    coupling at most 2 places apart, and each triplet value times each
-    nonzero of P is added, in term order, straight into the storage of
-    `MixedSystem`: entries in node 0's row or column into dense slabs, the
-    free block into a band. K = q + q^T is then formed in place, one pair of
-    mirrored diagonals at a time, and the band is trimmed to the nonzero
-    half-bandwidth; no temporary is larger than the band or than one term's
-    products. Every entry sums its products in term order, as a dense
-    block-by-block sum would, and all of the direct scheme's GL memory lands
-    in the slab.
+    coupling of both schemes at most 2 places apart, so within b = 3 w - 1
+    values for w values per node; each triplet value times each nonzero of P
+    is added, in term order, straight into the band. K = q + q^T is then
+    formed in place, one pair of mirrored diagonals at a time; no temporary
+    is larger than the band or than one term's products. Every entry sums
+    its products in term order, as a dense block-by-block sum would.
     """
     terms, r = mca_terms(model, grid, scheme)
     layout = DofLayout(grid.n_nodes, model.n_dof, model.n_el)
     fold = layout.nodes()
-    w = layout.width
+    w, size = layout.width, layout.size
     rank = np.argsort(fold)  # the fold position of each node
-    # a bound on |i - j| over the free block; the band is trimmed below
-    reach = w - 1 + w * max(
-        int(np.max(np.abs(rank[rows] - rank[cols])[(rows > 0) & (cols > 0)], initial=0))
-        for (rows, cols, _), _ in terms
-    )
-    n_free = layout.size - w
-    q = np.zeros((2 * reach + 1, n_free))  # q's free block, stored as `band`
-    q_flat = q.ravel()  # q[reach + i - j, j] is q_flat[(reach + i - j) * n_free + j]
-    q_col0 = np.zeros((layout.size, w))
-    q_row0 = np.zeros((w, layout.size))
+    reach = 3 * w - 1
+    q = np.zeros((2 * reach + 1, size))  # q, stored as the band
+    q_flat = q.ravel()  # q[reach + i - j, j] is q_flat[(reach + i - j) * size + j]
     for (rows, cols, vals), coef in terms:
         a, b = np.nonzero(coef)  # each op_ij * P_ab at its packed (row, col)
-        row = ((w * rank[rows])[:, None] + a).ravel()
-        col = ((w * rank[cols])[:, None] + b).ravel()
+        i = ((w * rank[rows])[:, None] + a).ravel()
+        j = ((w * rank[cols])[:, None] + b).ravel()
         val = (vals[:, None] * coef[a, b]).ravel()
-        free = (row >= w) & (col >= w)
-        i, j = row[free] - w, col[free] - w
-        q_flat[(reach + i - j) * n_free + j] += val[free]  # no position repeats within a term
-        at = col < w
-        q_col0[row[at], col[at]] += val[at]
-        at = row < w
-        q_row0[row[at], col[at]] += val[at]
-    # K = q + q^T in place, one pair of diagonals i - j = +-o at a time
-    half = 0
-    for o in range(reach + 1):
-        lower, upper = q[reach + o, : n_free - o], q[reach - o, o:]  # K[j + o, j], K[j, j + o]
+        q_flat[(reach + i - j) * size + j] += val  # no position repeats within a term
+    for o in range(reach + 1):  # K = q + q^T, diagonals i - j = +-o
+        lower, upper = q[reach + o, : size - o], q[reach - o, o:]  # K[j + o, j], K[j, j + o]
         lower += upper
         upper[...] = lower
-        if lower.any():
-            half = o
-    q_col0 += q_row0.T  # and its node-0 columns
-    system = MixedSystem(
-        block=q_col0[:w],
-        slab=q_col0[w:],
-        band=q[reach - half : reach + half + 1],
-    )
-    return system, r[fold].ravel(), layout
+    return q, r[fold].ravel(), layout
 
 
 def build_mca_form(

@@ -159,15 +159,15 @@ def _mca_value_terms(model: MdofModel, u: np.ndarray, J: np.ndarray, grid: Grid,
     multiplied entrywise by the matrix of end-time pairings of its columns
     and summed. R pairs rates exactly; the semi-derivative pairing S is the
     reduced rewrite x' * y + x(0) y(t), or the GL half-derivatives of the
-    columns paired by the trapezoid anti-diagonal rule of `convolve_at_end`."""
+    columns paired by the all-node Riemann rule h sum_k x_k y_{n-k}; the
+    assembly holds its closed form (`gl_semi_pair_entries`), not this route."""
     h = grid.h
     if scheme == "direct":
-        w = grid.trapezoid_weights()[:, None]
         su, sj = (
             np.column_stack([frac_deriv(Side.LEFT, Signal(grid, c), 0.5).values for c in x.T])
             for x in (u, J)
         )
-        s_ju, s_uu = end_pairs(w * sj, su), end_pairs(w * su, su)
+        s_ju, s_uu = h * end_pairs(sj, su), h * end_pairs(su, su)
     else:
         s_ju = rate_value_pair_end(J, u, h) + np.outer(J[0], u[-1])
         s_uu = rate_value_pair_end(u, u, h) + np.outer(u[0], u[-1])

@@ -60,10 +60,6 @@ class Grid:
         w[-1] *= 0.5
         return w
 
-    def refine(self, factor: int = 2) -> "Grid":
-        """Same interval with n_steps multiplied by `factor`."""
-        return Grid(self.t_final, self.n_steps * factor)
-
 
 def _as_readonly(values: np.ndarray) -> np.ndarray:
     out = np.array(values, dtype=float, copy=True)

@@ -248,10 +248,6 @@ class Trajectory:
         vals = self.u if self.u.ndim == 1 else self.u[:, component]
         return Signal(self.grid, vals)
 
-    def J_signal(self, component: int | None = None) -> Signal:
-        vals = self.J if self.J.ndim == 1 else self.J[:, component]
-        return Signal(self.grid, vals)
-
     def to_csv(self) -> str:
         """Columns tau,u...,J... at full double precision."""
         table = np.column_stack([self.grid.nodes(), self.u, self.J])

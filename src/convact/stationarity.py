@@ -13,7 +13,7 @@ The solve is O(N) in time and memory for both schemes. K has a few nonzeros
 per row, and fold order puts every coupled pair of nodes at most 2 places
 apart: the half-bandwidth is 5 for one dof and 16 for the 3-story shear
 building. `build_mca_system` writes K straight into band storage, and the
-solve copies that band into LAPACK's array and factors it in place, with no
+solve copies the free block's band into LAPACK's array and factors it in place, with no
 permutation, by banded LU (`dgbtrf`). The 1-norm of K, its largest entry and
 the gradient K d + r are read off the same band. The 1-norm condition number is estimated
 by Hager's method over banded solves with K and K^T, and a system whose
@@ -75,7 +75,7 @@ class QuadraticForm:
     the packing order of `layout` (fold order, components side by side) and
     the node-0 values eliminated and recorded in `node0`, which `layout`
     packs first. K is held as `band`, its (2b + 1, N) band storage
-    band[b + i - j, j] = K[i, j] (see `MixedSystem`); `K` builds it as a
+    band[b + i - j, j] = K[i, j] (see `build_mca_system`); `K` builds it as a
     sparse CSR matrix on demand.
     """
 
@@ -137,13 +137,12 @@ class SolveReport:
     """Solved trajectory and what the solve measured: the relative gradient
     norm at the solution, the 1-norm condition estimate of K, the
     half-bandwidth of K in fold order (under 3 nodes' worth of values: 5 for
-    one dof, 16 for the 3-story shear building), the normwise forward-error
-    bound condition * eps, and the wall time of the solve."""
+    one dof, 16 for the 3-story shear building) and the normwise
+    forward-error bound condition * eps."""
 
     trajectory: Trajectory
     gradient_norm: float
     condition_estimate: float
-    wall_time: float
     bandwidth: int
     forward_error_bound: float
 
@@ -163,10 +162,21 @@ def assemble(
     else:
         raise ValueError(f"assemble supports the mixed kinds only, got {kind!r}")
     node0 = np.concatenate(mdof_mixed_initials(model, u0, v0))
-    system, r_full, layout = build_mca_system(model, grid, scheme)
-    r = r_full[layout.width :] + system.slab @ node0
+    band, r, layout = build_mca_system(model, grid, scheme)
+    w, b = layout.width, len(band) // 2  # b = 3 w - 1
+    # node 0, K's first w rows and columns, couples only with the values of
+    # the next two nodes, K[w + k, j] for k < 2 w: fold them into r and clear
+    # their mirror K[j, w + k] from the free block
+    k, j = np.arange(min(2 * w, layout.size - w))[:, None], np.arange(w)
+    coupling = band[b + w + k - j, j]
+    band[b - w - k + j, w + k] = 0.0
+    r = r[w:]
+    r[: len(k)] += coupling @ node0
+    free = band[:, w:]
+    half = int(np.max(np.flatnonzero(free[b:].any(axis=1)), initial=0))  # the nonzero half-bandwidth
     return QuadraticForm(
-        band=system.band, r=r, node0=node0, layout=layout, grid=grid, kind=kind, scheme=scheme
+        band=free[b - half : b + half + 1], r=r, node0=node0, layout=layout, grid=grid,
+        kind=kind, scheme=scheme,
     )
 
 
@@ -215,7 +225,6 @@ def solve_stationary(qf: QuadraticForm) -> SolveReport:
     """
     from scipy.linalg import lapack  # imported at the first solve, not by `import convact`
 
-    start = time.perf_counter()
     width, n_free = qf.band.shape
     band = width // 2
     ab = np.zeros((3 * band + 1, n_free), order="F")  # band rows of fill room on top
@@ -250,12 +259,10 @@ def solve_stationary(qf: QuadraticForm) -> SolveReport:
     scale = max(_max_abs(qf.band) * max(float(np.max(np.abs(d))), 1.0),
                 float(np.max(np.abs(qf.r))), 1.0)
     gradient_norm = float(np.max(np.abs(grad))) / scale
-    wall = time.perf_counter() - start
     return SolveReport(
         trajectory=_traj_from_free(qf, d),
         gradient_norm=gradient_norm,
         condition_estimate=condition,
-        wall_time=wall,
         bandwidth=band,
         forward_error_bound=condition * float(np.finfo(float).eps),
     )

@@ -4,20 +4,21 @@ builder of the mixed action's K, r and the symmetric indefinite
 them before it went sparse; the trapezoid anti-diagonal, the GL derivative
 matrix, the `deriv1` stencil and the dense Hamilton and Tonti products; and
 the outer-product running convolution; the mixed action's value as a loop
-over model-matrix entries, one `np.dot` per pairing; K x of an assembled
-`MixedSystem` through its band. The mixed references pack the values
-component by component (all nodes of u_0, then u_1, ..., then J);
-`component_major_index` maps the library's fold-ordered packing onto theirs.
-Tests compare the library kernels against these on small grids."""
+over model-matrix entries, one `np.dot` per pairing; the dense K of a band.
+The mixed references pack the values component by component (all nodes of
+u_0, then u_1, ..., then J); `component_major_index` maps the library's
+fold-ordered packing onto theirs, and `pack` packs (u, J) histories in the
+library's order. Tests compare the library kernels against these on small
+grids."""
 
 import math
 
 import numpy as np
 from scipy.linalg import lapack, toeplitz
 
-from convact._discrete import band_matvec, conv_end_linear, reflected_load_weights
+from convact._discrete import conv_end_linear, reflected_load_weights
 from convact.fracops import Side, frac_deriv, gl_weights
-from convact.grid import Signal, as_order, convolve_at_end
+from convact.grid import Signal, as_order
 
 
 def conv_end_matrix(grid):
@@ -54,9 +55,10 @@ def dense_rate_value_pair_matrix(grid):
 
 
 def dense_gl_semi_pair_matrix(grid):
-    """G^T W G with the dense GL derivative matrix and trapezoid anti-diagonal."""
+    """G^T R G with the dense GL derivative matrix and the all-node Riemann
+    anti-diagonal R = h J."""
     gmat = gl_derivative_matrix(grid.n_steps, grid.h, 0.5)
-    return gmat.T @ conv_end_matrix(grid) @ gmat
+    return gmat.T @ (grid.h * np.fliplr(np.eye(grid.n_nodes))) @ gmat
 
 
 def entries_toarray(entries, n_nodes):
@@ -70,30 +72,25 @@ def entries_toarray(entries, n_nodes):
     return out
 
 
-def system_toarray(system):
-    """The dense K of a `MixedSystem`: node 0's block and slab, then the band."""
-    w = system.block.shape[0]
-    width, n = system.band.shape
-    K = np.zeros((n + w, n + w))
-    K[:w, :w] = system.block
-    K[w:, :w] = system.slab
-    K[:w, w:] = system.slab.T
+def band_toarray(band):
+    """The dense K of its band storage band[b + i - j, j] = K[i, j]."""
+    width, n = band.shape
+    K = np.zeros((n, n))
     col = np.broadcast_to(np.arange(n), (width, n))
     row = col + np.arange(width)[:, None] - width // 2
     inside = (row >= 0) & (row < n)
-    K[w + row[inside], w + col[inside]] = system.band[inside]
+    K[row[inside], col[inside]] = band[inside]
     return K
 
 
-def system_matvec(system, x):
-    """K x over the full vector of a `MixedSystem`, node 0's values first:
-    the band route that the library's solve applies to the free values."""
-    w = system.block.shape[0]
-    x0, free = x[:w], x[w:]
-    return np.concatenate([
-        system.block @ x0 + free @ system.slab,
-        system.slab @ x0 + band_matvec(system.band, free),
+def pack(layout, u, J):
+    """The vector of (u, J) histories in the packing of `layout`, the
+    inverse of `DofLayout.unpack`."""
+    table = np.hstack([
+        np.reshape(np.asarray(u, dtype=float), (layout.n_nodes, layout.n_dof)),
+        np.reshape(np.asarray(J, dtype=float), (layout.n_nodes, layout.n_el)),
     ])
+    return table[layout.nodes()].ravel()
 
 
 def component_major_index(layout):
@@ -146,10 +143,10 @@ def loop_mca_value(model, u, J, grid, scheme="reduced"):
         sj = [frac_deriv(Side.LEFT, Signal(grid, J[:, i]), 0.5) for i in range(e)]
 
         def semi_ju(i, a):
-            return convolve_at_end(sj[i], su[a])
+            return h * np.dot(sj[i].values, su[a].values[::-1])
 
         def semi_uu(a, b):
-            return convolve_at_end(su[a], su[b])
+            return h * np.dot(su[a].values, su[b].values[::-1])
     else:
 
         def rate_value(x, y):

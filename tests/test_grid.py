@@ -170,7 +170,7 @@ def test_inner_product_ramp_squared():
     ramp = sample(lambda t: t, g)
     val = inner_product(ramp, ramp)
     assert val == pytest.approx(1.0 / 3.0, abs=1e-4)
-    g2 = g.refine()
+    g2 = Grid(g.t_final, 2 * g.n_steps)
     val2 = inner_product(sample(lambda t: t, g2), sample(lambda t: t, g2))
     assert abs(val2 - 1 / 3) < abs(val - 1 / 3) / 3.5
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from convact._stencils import deriv1, deriv2
-from convact.grid import Grid
+from convact.grid import Grid, Signal
 from convact.models import (
     HarmonicForcing,
     MdofModel,
@@ -437,7 +437,7 @@ def test_trajectory_csv_and_signals():
     text = traj.to_csv()
     assert text.splitlines()[0] == "tau,u,J"
     assert traj.u_signal().values[2] == 2.0
-    assert traj.J_signal().values[0] == 0.5
+    assert Signal(g, traj.J).values[0] == 0.5
 
 
 def test_trajectory_csv_bytes():

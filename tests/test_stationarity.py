@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from dense_reference import (
+    band_toarray,
     component_major_index,
     dense_free_system,
     dense_gl_semi_pair_matrix,
@@ -13,18 +14,18 @@ from dense_reference import (
     dense_solve,
     entries_toarray,
     loop_mca_value,
-    system_matvec,
-    system_toarray,
+    pack,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from convact._discrete import (
     DofLayout,
-    MixedSystem,
+    band_matvec,
     build_mca_form,
     build_mca_system,
     gl_semi_pair_entries,
+    mca_terms,
 )
 from convact.actions import ActionKind, action_value, action_variation, el_residuals
 from convact.grid import Grid
@@ -261,11 +262,27 @@ def test_coupled_assembly_matches_action_value(scheme, seed, n_el):
     rng = np.random.default_rng(seed)
     model = _random_coupled_model(rng, n_el)
     g = Grid(2.0, 24)
-    system, r, layout = build_mca_system(model, g, scheme)
+    band, r, layout = build_mca_system(model, g, scheme)
     traj = Trajectory(g, rng.standard_normal((25, 2)), rng.standard_normal((25, n_el)))
-    x = layout.pack(traj.u, traj.J)
+    x = pack(layout, traj.u, traj.J)
     value = action_value(ActionKind.MCA_MDOF, model, traj, scheme=scheme)
-    assert 0.5 * x @ system_matvec(system, x) + r @ x == pytest.approx(value, rel=1e-12)
+    assert 0.5 * x @ band_matvec(band, x) + r @ x == pytest.approx(value, rel=1e-12)
+
+
+def test_direct_value_is_the_assembled_form_to_roundoff():
+    # the value pairs GL half-derivative columns by the Riemann rule, the
+    # assembly holds that pairing's closed form Pi: G^T R G = Pi at roundoff
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 5, 9, 64, 512, 2048):
+        g = Grid(rng.uniform(0.5, 8.0), n)
+        for model in (sdof_as_mdof(FORCED), _random_coupled_model(rng), _random_coupled_model(rng, 3)):
+            band, r, layout = build_mca_system(model, g, "direct")
+            u, J = rng.standard_normal((n + 1, model.n_dof)), rng.standard_normal((n + 1, model.n_el))
+            x = pack(layout, u, J)
+            value = action_value(ActionKind.MCA_MDOF, model, Trajectory(g, u, J), scheme="direct")
+            form = 0.5 * x @ band_matvec(band, x) + r @ x
+            scale = 0.5 * np.abs(x) @ band_matvec(np.abs(band), np.abs(x)) + np.abs(r) @ np.abs(x)
+            assert abs(value - form) <= 1e-15 * scale, (n, model.n_el)
 
 
 @pytest.mark.parametrize("scheme", ["reduced", "direct"])
@@ -353,15 +370,15 @@ def _models_for_reference():
         yield f"coupled-{seed}", _random_coupled_model(np.random.default_rng(seed))
 
 
-@pytest.mark.parametrize("n", [2, 9, 64, 256])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 64, 256])
 def test_reduced_assembly_is_bitwise_the_dense_block_sum(n):
     g = Grid(6.0, n)
     # equal up to the permutation from component-major to fold order
     for name, model in _models_for_reference():
-        system, r, layout = build_mca_system(model, g)
+        band, r, layout = build_mca_system(model, g)
         order = component_major_index(layout)
         K_ref, r_ref = dense_mca_system(model, g)
-        assert system_toarray(system).tobytes() == K_ref[np.ix_(order, order)].tobytes(), name
+        assert band_toarray(band).tobytes() == K_ref[np.ix_(order, order)].tobytes(), name
         assert r.tobytes() == r_ref[order].tobytes(), name
         u0 = np.linspace(0.3, -0.2, model.n_dof)
         qf = assemble(ActionKind.MCA_MDOF, model, g, u0, 0.5 * u0)
@@ -370,18 +387,18 @@ def test_reduced_assembly_is_bitwise_the_dense_block_sum(n):
         assert qf.r.tobytes() == r_free.tobytes(), name
 
 
-@pytest.mark.parametrize("n", [2, 3, 9, 64, 512])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 64, 512])
 def test_direct_scheme_matches_dense_gl_product(n):
     g = Grid(6.0, n)
     ref = dense_gl_semi_pair_matrix(g)
     gap = np.max(np.abs(entries_toarray(gl_semi_pair_entries(g), n + 1) - ref))
     assert gap <= 1e-15 * np.max(np.abs(ref))
     for name, model in _models_for_reference():
-        system, r, layout = build_mca_system(model, g, "direct")
+        band, r, layout = build_mca_system(model, g, "direct")
         order = component_major_index(layout)
         K_ref, r_ref = dense_mca_system(model, g, "direct")
         K_ref = K_ref[np.ix_(order, order)]
-        K = system_toarray(system)
+        K = band_toarray(band)
         assert np.max(np.abs(K - K_ref)) <= 1e-15 * np.max(np.abs(K_ref)), name
         np.testing.assert_array_equal(r, r_ref[order])
         u0 = np.linspace(0.3, -0.2, model.n_dof)
@@ -392,38 +409,70 @@ def test_direct_scheme_matches_dense_gl_product(n):
 
 
 @pytest.mark.parametrize("scheme", ["reduced", "direct"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 64])
+def test_every_coupling_lies_within_two_fold_positions(n, scheme):
+    # `build_mca_system` stores K in a band of the constant reach 3 w - 1,
+    # which holds a term only if each triplet couples nodes at most 2 fold
+    # positions apart
+    g = Grid(6.0, n)
+    rank = np.argsort(DofLayout(n + 1, 1, 1).nodes())
+    rng = np.random.default_rng(n)
+    for model in (sdof_as_mdof(FORCED), SHEAR3, _random_coupled_model(rng), _random_coupled_model(rng, 3)):
+        terms, _ = mca_terms(model, g, scheme)
+        for (rows, cols, _), _ in terms:
+            assert np.max(np.abs(rank[rows] - rank[cols])) <= 2, (model.n_dof, model.n_el)
+
+
+@pytest.mark.parametrize(
+    "kind, model, u0, v0, t",
+    [
+        (ActionKind.MCA_SDOF, SdofModel(1.0, 0.2, 1.0), 1.0, 0.0, 10.0),
+        (ActionKind.MCA_SDOF, SdofModel(1.0, 5.0, 1.0), 1.0, 0.0, 10.0),
+        (ActionKind.MCA_SDOF, FORCED, 1.0, 0.0, 10.0),
+        (ActionKind.MCA_MDOF, build_shear_building(3, 1.0, 10.0, 0.4), [1.0, 0.0, 0.0], [0.0] * 3, 6.0),
+    ],
+    ids=["sdof", "overdamped", "forced", "shear-3"],
+)
+def test_direct_scheme_converges_at_first_order(kind, model, u0, v0, t):
+    # the direct K pairs nodal values with reflected increments (Pi), a
+    # one-sided rule: first order, where the reduced scheme is second
+    table = convergence_study(kind, model, u0, v0, t, [128, 256, 512, 1024, 2048], "direct")
+    assert table.rows[-1].order_u >= 0.95
+    assert table.rows[-1].order_J >= 0.95
+
+
+@pytest.mark.parametrize("scheme", ["reduced", "direct"])
 @pytest.mark.parametrize("n", [2, 9, 64, 256])
 def test_matvec_matches_the_dense_product(n, scheme):
     g = Grid(6.0, n)
     rng = np.random.default_rng(n)
     for name, model in _models_for_reference():
-        system, _, layout = build_mca_system(model, g, scheme)
+        band, _, layout = build_mca_system(model, g, scheme)
         order = component_major_index(layout)
         K_ref = dense_mca_system(model, g, scheme)[0][np.ix_(order, order)]
         x = rng.standard_normal(layout.size)
         ref = K_ref @ x
-        assert np.max(np.abs(system_matvec(system, x) - ref)) <= 1e-15 * np.max(np.abs(ref)), name
+        assert np.max(np.abs(band_matvec(band, x) - ref)) <= 1e-15 * np.max(np.abs(ref)), name
 
 
 @pytest.mark.parametrize("scheme", ["reduced", "direct"])
 def test_mixed_form_matches_the_band(scheme):
     # g^T (K x + r) from the term triplets against the assembled band, for
-    # values at every node (node 0 holds the direct scheme's GL corner)
+    # values at every node, node 0's included
     rng = np.random.default_rng(17)
     for n in (2, 3, 9, 64, 512):
         g = Grid(rng.uniform(0.5, 8.0), n)
         for model in (sdof_as_mdof(FORCED), _random_coupled_model(rng), _random_coupled_model(rng, 3)):
-            system, r, layout = build_mca_system(model, g, scheme)
+            band, r, layout = build_mca_system(model, g, scheme)
             form, r_table = build_mca_form(model, g, scheme)
             d = model.n_dof
-            assert layout.pack(r_table[:, :d], r_table[:, d:]).tobytes() == r.tobytes()
-            abs_system = MixedSystem(np.abs(system.block), np.abs(system.slab), np.abs(system.band))
+            assert pack(layout, r_table[:, :d], r_table[:, d:]).tobytes() == r.tobytes()
             rough = rng.standard_normal((2, n + 1, layout.width))
             for X, G in (rough, np.cumsum(rough, axis=1) / math.sqrt(n)):
-                x, gv = (layout.pack(t[:, :d], t[:, d:]) for t in (X, G))
-                band = gv @ (system_matvec(system, x) + r)
-                scale = np.abs(gv) @ (system_matvec(abs_system, np.abs(x)) + np.abs(r))
-                assert abs(form(G, X) + np.sum(G * r_table) - band) <= 1e-15 * scale, (n, model.n_el)
+                x, gv = (pack(layout, t[:, :d], t[:, d:]) for t in (X, G))
+                by_band = gv @ (band_matvec(band, x) + r)
+                scale = np.abs(gv) @ (band_matvec(np.abs(band), np.abs(x)) + np.abs(r))
+                assert abs(form(G, X) + np.sum(G * r_table) - by_band) <= 1e-15 * scale, (n, model.n_el)
                 assert form(G, X) == form(X, G)
 
 
@@ -493,7 +542,7 @@ def test_pack_unpack_round_trip_node_by_node(n_dof, n_el):
     layout = DofLayout(7, n_dof, n_el)
     rng = np.random.default_rng(n_dof + n_el)
     u, J = rng.standard_normal((7, n_dof)), rng.standard_normal((7, n_el))
-    x = layout.pack(u, J)
+    x = pack(layout, u, J)
     assert x.shape == (layout.size,)
     for p, node in enumerate(layout.nodes()):
         np.testing.assert_array_equal(x[p * layout.width : (p + 1) * layout.width],
@@ -542,7 +591,7 @@ def test_banded_solve_matches_dense_solve(model, n, t, scheme):
     assume(cond_ref < CONDITION_LIMIT / 10)  # both estimates clear of the gate
     rep = solve_stationary(qf)
     x_ref = qf.full_vector(d_ref)
-    x = qf.layout.pack(rep.trajectory.u, rep.trajectory.J)
+    x = pack(qf.layout, rep.trajectory.u, rep.trajectory.J)
     eps = np.finfo(float).eps
     assert np.max(np.abs(x - x_ref)) <= 10 * cond_ref * eps * np.max(np.abs(x_ref))
     assert rep.gradient_norm <= 1e-10
