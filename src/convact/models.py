@@ -10,7 +10,7 @@ multi-dof model.
 
 Importing this module loads numpy alone: `MdofModel` places its flexibility
 blocks on the diagonal of A in numpy, and `mdof_oracle` imports
-scipy.linalg's `expm` when it runs.
+scipy.linalg's `expm` when it runs, the one scipy.linalg import of any run.
 """
 
 from __future__ import annotations

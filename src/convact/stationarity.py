@@ -18,9 +18,9 @@ permutation, by banded LU (`dgbtrf`). The 1-norm of K, its largest entry and
 the gradient K d + r are read off the same band. The 1-norm condition number is estimated
 by Hager's method over banded solves with K and K^T, and a system whose
 estimate exceeds CONDITION_LIMIT is refused. Importing this module loads
-numpy alone: `solve_stationary` imports scipy.linalg's LAPACK wrappers at
-its first call. No scipy.sparse code runs on this path; `QuadraticForm.K`
-imports it to build a CSR copy only when asked.
+numpy alone: `solve_stationary` loads scipy's LAPACK extension `_flapack`, not
+the scipy.linalg package, at its first call. No scipy.sparse code runs on this
+path; `QuadraticForm.K` imports it to build a CSR copy only when asked.
 
 The damped oscillator (MCA_SDOF) is solved as the one-dof case of the
 multi-dof system: `assemble` lifts the model through `sdof_as_mdof`, and the
@@ -30,6 +30,8 @@ solved trajectory is reshaped to scalar histories only on the way out.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -212,6 +214,20 @@ def _inverse_norm_estimate(solve, n: int) -> float:
     return max(est, 2.0 * float(np.sum(np.abs(solve(alt, 0)))) / (3 * n))
 
 
+def _flapack():
+    """The compiled LAPACK wrappers of `scipy.linalg.lapack`, without the scipy.linalg package."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        from importlib import machinery, util
+        where = os.path.join(util.find_spec("scipy").submodule_search_locations[0], "linalg")
+        spec = machinery.PathFinder.find_spec(name, [where])
+        if spec is None:
+            raise ImportError(f"no {name} extension in {where}", name=name)
+        spec.loader.exec_module(module := util.module_from_spec(spec))
+        sys.modules[name] = module  # a later scipy.linalg import reuses it
+    return sys.modules[name]
+
+
 def solve_stationary(qf: QuadraticForm) -> SolveReport:
     """Solve K d = -r by banded LU in fold order and reassemble the trajectory.
 
@@ -223,8 +239,7 @@ def solve_stationary(qf: QuadraticForm) -> SolveReport:
     meets an exactly zero pivot or the condition estimate exceeds
     CONDITION_LIMIT, the half-precision budget of the double-precision solve.
     """
-    from scipy.linalg import lapack  # imported at the first solve, not by `import convact`
-
+    lapack = _flapack()
     width, n_free = qf.band.shape
     band = width // 2
     ab = np.zeros((3 * band + 1, n_free), order="F")  # band rows of fill room on top

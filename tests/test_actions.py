@@ -414,9 +414,10 @@ print(loaded())
 
 
 def test_runs_load_no_scipy_interpolate_sparse_or_special():
-    # verify runs need numpy alone; the banded LU and the oracle's expm
-    # import scipy.linalg where they run, and scipy.interpolate, .sparse and
-    # .special (which drag in .optimize, .spatial and .fft) are never loaded
+    # verify runs need numpy alone; the banded LU loads scipy's LAPACK
+    # extension and the oracle's expm imports scipy.linalg where they run,
+    # and scipy.interpolate, .sparse and .special (which drag in .optimize,
+    # .spatial and .fft) are never loaded
     out = subprocess.run([sys.executable, "-c", SCIPY_SURFACE_RUN], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     # the CLI's summaries come between the three module lists

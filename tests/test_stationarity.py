@@ -1,7 +1,9 @@
 import math
 import os
+import subprocess
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -521,6 +523,68 @@ def test_mixed_solve_and_variation_enter_no_scipy_sparse():
     finally:
         sys.setprofile(None)
     assert entered == []
+
+
+# the sdof and mdof runs in a fresh process, writing their CSVs to argv[1];
+# with argv[2] == "first" scipy.linalg is imported before convact solves
+LAPACK_LOAD_RUN = """
+import sys
+if sys.argv[2] == "first":
+    import scipy.linalg
+from convact import cli
+
+def state():
+    return [m in sys.modules for m in ("scipy.linalg", "scipy.linalg._flapack")]
+
+out = sys.argv[1]
+sdof = ["sdof", "--n", "64", "--forcing-amplitude", "1", "--forcing-omega", "2"]
+assert cli.main([*sdof, "--output-dir", out]) == 0
+print("after sdof", state())
+assert cli.main(["convergence", "--kind", "sdof", "--n", "16,32,64", "--output-dir", out]) == 0
+print("after convergence", state())
+from scipy.linalg import lapack
+print("same dgbtrf", lapack.dgbtrf is sys.modules["scipy.linalg._flapack"].dgbtrf)
+assert cli.main(["mdof", "--n", "64", "--output-dir", out]) == 0
+"""
+
+
+def test_solves_load_the_lapack_extension_without_scipy_linalg(tmp_path):
+    # the banded LU binds scipy's compiled LAPACK wrappers alone; a later
+    # scipy.linalg import reuses them, and importing scipy.linalg first
+    # changes no output byte
+    outputs = {}
+    for order in ("solve-first", "first"):
+        out = tmp_path / order
+        out.mkdir()
+        run = subprocess.run([sys.executable, "-c", LAPACK_LOAD_RUN, str(out), order],
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        lines = [line for line in run.stdout.splitlines() if line.startswith(("after", "same"))]
+        linalg_first = order == "first"
+        assert lines == [
+            f"after sdof [{linalg_first}, True]",
+            f"after convergence [{linalg_first}, True]",
+            "same dgbtrf True",
+        ]
+        outputs[order] = {p.name: p.read_bytes() for p in sorted(out.glob("*_*.csv"))}
+    assert sorted(outputs["first"]) == [
+        f"{cmd}_{part}.csv" for cmd in ("mdof", "sdof") for part in ("oracle", "residuals", "solved")
+    ]
+    assert outputs["solve-first"] == outputs["first"]
+
+
+def test_missing_lapack_extension_raises_import_error(monkeypatch, tmp_path):
+    # a scipy whose linalg directory holds no _flapack: the first solve
+    # raises ImportError naming the module and the directory searched
+    (tmp_path / "linalg").mkdir()
+    scipy_spec = types.SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+    monkeypatch.setattr("importlib.util.find_spec", lambda name: scipy_spec)
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    qf = assemble(ActionKind.MCA_SDOF, FORCED, Grid(2.0, 8), 1.0, 0.0)
+    with pytest.raises(ImportError, match="scipy.linalg._flapack") as err:
+        solve_stationary(qf)
+    assert str(tmp_path / "linalg") in str(err.value)
+    assert "scipy.linalg._flapack" not in sys.modules
 
 
 def test_fold_order_pairs_each_node_with_its_reflection():
