@@ -1,6 +1,8 @@
 """Solving the damped oscillator by making the mixed convolved action
 stationary: one global linear solve over the whole time history, initial
-conditions built in, end values free.
+conditions built in, end values free. `assemble` and `convergence_study`
+take the model itself: an SdofModel is solved as the one-dof case of the
+multi-dof system and comes back as a scalar trajectory.
 
 Run:  python3 demos/04_mixed_action_stationarity.py
 """
@@ -23,7 +25,7 @@ model = SdofModel(m=1.0, c=0.2, k=1.0)
 
 print("== one solve, the whole trajectory ==")
 grid = Grid(10.0, 256)
-qf = assemble(ActionKind.MCA_SDOF, model, grid, u0=1.0, v0=0.0)
+qf = assemble(model, grid, u0=1.0, v0=0.0)
 print(f"free unknowns: {qf.n_free} (u and J at nodes 1..n; node 0 pinned to "
       f"u0 = {qf.node0[0]}, J0 = {qf.node0[1]:+.2f})")
 report = solve_stationary(qf)
@@ -42,7 +44,7 @@ for name, value in res.ic_residuals.items():
     print(f"  {name:15s} {value:+.2e}  (holds by construction)")
 
 print("\n== convergence against the closed form ==")
-table = convergence_study(ActionKind.MCA_SDOF, model, 1.0, 0.0, 10.0, [64, 128, 256, 512])
+table = convergence_study(model, 1.0, 0.0, 10.0, [64, 128, 256, 512])
 for row in table.rows:
     order = "--" if row.order_u is None else f"{row.order_u:.2f}"
     print(f"  n={row.n_steps:4d}  err_u={row.err_u_sup:.3e}  err_J={row.err_J_sup:.3e}"

@@ -1,4 +1,5 @@
-"""Multi-dof systems through the same stationarity machinery: a shear
+"""Multi-dof systems through the same stationarity machinery: `assemble`
+takes an MdofModel exactly as it takes the oscillator's SdofModel. A shear
 building with damping and harmonic forcing, and an elastic bar semidiscretized
 into an equivalent chain.
 
@@ -11,7 +12,6 @@ import numpy as np
 from scipy.linalg import eigh
 
 from convact import (
-    ActionKind,
     Grid,
     HarmonicForcing,
     assemble,
@@ -34,7 +34,7 @@ u0 = np.array([0.5, 0.2, -0.1])
 v0 = np.zeros(3)
 for n in (128, 256, 512):
     grid = Grid(6.0, n)
-    report = solve_stationary(assemble(ActionKind.MCA_MDOF, building, grid, u0, v0))
+    report = solve_stationary(assemble(building, grid, u0, v0))
     oracle = mdof_oracle(building, u0, v0, grid)
     err = np.max(np.abs(report.trajectory.u - oracle.u))
     print(f"  n={n:4d}  sup error vs state-space oracle: {err:.3e}")

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._stencils import deriv1
-from .grid import Grid
+from .grid import Grid, Signal, convolve
 from .models import MdofModel, SdofModel
 
 SCHEMES = ("reduced", "direct")
@@ -354,6 +354,15 @@ def build_tonti_system(
     return form, -(w * model.forcing_signal(grid).values[::-1])
 
 
+def gurtin_forcing(model: SdofModel, u0: float, v0: float, grid: Grid) -> Signal:
+    """Effective forcing of the convolutional restatement of the initial value
+    problem: [tau * f](t) + (m + c tau) u0 + m tau v0."""
+    taus = grid.nodes()
+    conv = convolve(Signal(grid, taus), model.forcing_signal(grid))
+    vals = conv.values + (model.m + model.c * taus) * u0 + model.m * taus * v0
+    return Signal(grid, vals)
+
+
 def build_gurtin_system(
     model: SdofModel, grid: Grid, u0: float, v0: float
 ) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
@@ -370,8 +379,6 @@ def build_gurtin_system(
     So entry (p, q) comes from prefix j = p + q alone and reads
     h s_p s_q a_{p+q}, s = (1/2, 1, ..., 1), and c W_c + k W_r applied to x
     is h s times the correlation of the kernel a with s x."""
-    from .actions import gurtin_forcing  # deferred: actions imports this module
-
     n = grid.n_steps
     w = grid.trapezoid_weights()
     kernel = model.c * w + model.k * (w * (grid.t_final - grid.nodes()))

@@ -29,13 +29,14 @@ from ._discrete import (
     build_tonti_system,
     conv_end_linear,
     end_pairs,
+    gurtin_forcing,
     rate_pair_end,
     rate_value_pair_end,
 )
 from ._stencils import deriv1, deriv2
 from .fracops import Side, frac_deriv
 from .grid import Grid, Signal, convolve, convolve_at_end
-from .models import MdofModel, SdofModel, Trajectory, sdof_as_mdof
+from .models import MdofModel, SdofModel, mdof_view
 
 __all__ = [
     "ActionKind",
@@ -60,22 +61,6 @@ class ActionKind(enum.Enum):
 
 
 MIXED_KINDS = frozenset({ActionKind.MCA_SDOF, ActionKind.MCA_MDOF})
-
-# named residual vocabulary per kind
-FIELD_NAMES = {
-    ActionKind.HAMILTON: ("motion",),
-    ActionKind.GURTIN: ("integro_motion",),
-    ActionKind.TONTI: ("motion",),
-    ActionKind.MCA_SDOF: ("motion", "compatibility"),
-    ActionKind.MCA_MDOF: ("motion", "compatibility"),
-}
-IC_NAMES = {
-    ActionKind.HAMILTON: (),
-    ActionKind.GURTIN: (),
-    ActionKind.TONTI: ("initial",),
-    ActionKind.MCA_SDOF: ("motion_ic", "compatibility_ic"),
-    ActionKind.MCA_MDOF: ("motion_ic", "compatibility_ic"),
-}
 
 
 @dataclass(frozen=True)
@@ -133,27 +118,6 @@ def _check_kind_inputs(kind: ActionKind, model, traj, what: str = "trajectory"):
                 raise ValueError(f"MCA_SDOF needs a scalar mixed {what}")
 
 
-def _one_dof_view(kind: ActionKind, model, ics, *trajs):
-    """MCA_SDOF inputs as the one-dof case of MCA_MDOF: the model through
-    `sdof_as_mdof`, scalar histories as single columns and scalar initial
-    data as 1-vectors. Inputs of other kinds pass through unchanged."""
-    if kind is not ActionKind.MCA_SDOF:
-        return (model, ics, *trajs)
-    if ics is not None:
-        ics = tuple(np.array([float(x)]) for x in ics)
-    columns = (Trajectory(t.grid, t.u.reshape(-1, 1), t.J.reshape(-1, 1)) for t in trajs)
-    return (sdof_as_mdof(model), ics, *columns)
-
-
-def gurtin_forcing(model: SdofModel, u0: float, v0: float, grid: Grid) -> Signal:
-    """Effective forcing of the convolutional restatement of the initial value
-    problem: [tau * f](t) + (m + c tau) u0 + m tau v0."""
-    taus = grid.nodes()
-    conv = convolve(Signal(grid, taus), model.forcing_signal(grid))
-    vals = conv.values + (model.m + model.c * taus) * u0 + model.m * taus * v0
-    return Signal(grid, vals)
-
-
 def _mca_value_terms(model: MdofModel, u: np.ndarray, J: np.ndarray, grid: Grid, scheme: str) -> float:
     """The mixed action as one contraction per term: each model matrix is
     multiplied entrywise by the matrix of end-time pairings of its columns
@@ -186,7 +150,6 @@ def action_value(kind: ActionKind, model, traj, *, ics=None, scheme: str = "redu
     from sampled signals (quadrature route, independent of the assembled
     matrices). GURTIN requires ics = (u0, v0)."""
     _check_kind_inputs(kind, model, traj)
-    model, ics, traj = _one_dof_view(kind, model, ics, traj)
     if kind is ActionKind.HAMILTON:
         u = _signal_of(traj)
         du = deriv1(u.values, u.grid.h)
@@ -222,6 +185,7 @@ def action_value(kind: ActionKind, model, traj, *, ics=None, scheme: str = "redu
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if kind in MIXED_KINDS:
+        model, _, traj = mdof_view(model, None, traj)
         return _mca_value_terms(model, traj.u, traj.J, traj.grid, scheme)
     raise ValueError(f"unknown action kind {kind!r}")
 
@@ -257,8 +221,8 @@ def action_variation(
     _check_kind_inputs(kind, model, traj)
     _check_kind_inputs(kind, model, direction, "direction")
     _check_direction_constraints(kind, direction)
-    model, ics, traj, direction = _one_dof_view(kind, model, ics, traj, direction)
     if kind in MIXED_KINDS:
+        model, _, traj, direction = mdof_view(model, None, traj, direction)
         form, r = build_mca_form(model, traj.grid, scheme)
         x, g = (np.hstack([t.u, t.J]) for t in (traj, direction))
         return float(form(g, x) + np.sum(g * r))
@@ -282,7 +246,6 @@ def el_residuals(kind: ActionKind, model, traj, *, ics=None) -> ResidualReport:
     datum enters the initial-condition residuals exactly, not by differencing.
     """
     _check_kind_inputs(kind, model, traj)
-    model, ics, traj = _one_dof_view(kind, model, ics, traj)
     grid = traj.grid
     h = grid.h
     fields: dict = {}
@@ -315,6 +278,7 @@ def el_residuals(kind: ActionKind, model, traj, *, ics=None) -> ResidualReport:
     elif kind in MIXED_KINDS:
         if ics is None:
             raise ValueError(f"{kind.value} residuals need ics=(u0, v0)")
+        model, ics, traj = mdof_view(model, ics, traj)
         u, J = traj.u, traj.J
         f = model.forcing_history(grid.nodes())
         ddu, du = deriv2(u, h), deriv1(u, h)
@@ -329,7 +293,6 @@ def el_residuals(kind: ActionKind, model, traj, *, ics=None) -> ResidualReport:
         ics_out["compatibility_ic"] = float(np.max(np.abs(comp)))
     else:
         raise ValueError(f"unknown action kind {kind!r}")
-    assert tuple(fields) == FIELD_NAMES[kind] and tuple(ics_out) == IC_NAMES[kind]
     return ResidualReport(kind.value, grid, fields, ics_out)
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from ._discrete import SCHEMES
-from .actions import MIXED_KINDS, ActionKind, _one_dof_view, action_value, el_residuals
+from .actions import MIXED_KINDS, ActionKind, action_value, el_residuals
 from .grid import Grid
 from .identities import (
     IdentityKind,
@@ -39,14 +39,10 @@ from .models import (
     build_shear_building,
     check_forcing_acts,
     mdof_from_json,
+    mdof_view,
+    oracle_trajectory,
 )
-from .stationarity import (
-    SingularSystemError,
-    _oracle_trajectory,
-    assemble,
-    convergence_study,
-    solve_stationary,
-)
+from .stationarity import SingularSystemError, assemble, convergence_study, solve_stationary
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -169,10 +165,10 @@ def _solve_against_oracle(args, kind: ActionKind, model, u0, v0):
     report and the sup error of u."""
     grid = Grid(args.t, args.n)
     try:
-        report = solve_stationary(assemble(kind, model, grid, u0, v0, args.scheme))
+        report = solve_stationary(assemble(model, grid, u0, v0, args.scheme))
     except SingularSystemError as exc:
         raise _NumericalError("stationarity", "solve_stationary", str(exc)) from exc
-    oracle = _oracle_trajectory(kind, model, u0, v0, grid)
+    oracle = oracle_trajectory(model, u0, v0, grid)
     residuals = el_residuals(kind, model, report.trajectory, ics=(u0, v0))
     out = Path(args.output_dir)
     _write_atomic(out / f"{args.command}_solved.csv", report.trajectory.to_csv())
@@ -184,11 +180,18 @@ def _solve_against_oracle(args, kind: ActionKind, model, u0, v0):
     if not _finite(oracle):
         name = "analytic_sdof" if kind is ActionKind.MCA_SDOF else "mdof_oracle"
         raise _NumericalError("models", name, f"non-finite oracle trajectory {at}")
+    _check_residuals(residuals, at)
     return report, float(np.max(np.abs(report.trajectory.u - oracle.u)))
 
 
 def _finite(traj) -> bool:
     return bool(np.all(np.isfinite(traj.u)) and np.all(np.isfinite(traj.J)))
+
+
+def _check_residuals(r, at: str):
+    norms = [norm(name) for name in r.field_residuals for norm in (r.sup, r.l2)]
+    if not all(map(math.isfinite, norms + list(r.ic_residuals.values()))):
+        raise _NumericalError("actions", "el_residuals", f"non-finite residual norm {at}")
 
 
 def cmd_sdof(args: argparse.Namespace) -> int:
@@ -256,13 +259,11 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     if args.kind == "sdof":
         model = SdofModel(m=args.m, c=args.c, k=args.k)
         u0, v0 = (float(x[0]) for x in _initial_vectors(args, 1))
-        kind = ActionKind.MCA_SDOF
     else:
         model = _mdof_model(args)
         u0, v0 = _initial_vectors(args, model.n_dof)
-        kind = ActionKind.MCA_MDOF
     try:
-        table = convergence_study(kind, model, u0, v0, args.t, args.n, args.scheme)
+        table = convergence_study(model, u0, v0, args.t, args.n, args.scheme)
     except SingularSystemError as exc:
         raise _NumericalError("stationarity", "convergence_study", str(exc)) from exc
     _write_atomic(Path(args.output_dir) / "convergence.csv", table.to_csv())
@@ -299,7 +300,7 @@ def cmd_actions(args: argparse.Namespace) -> int:
     traj = analytic_sdof(sdof, u0, v0, grid)
     model, ics, traj_in = sdof, (u0, v0), traj
     if kind is ActionKind.MCA_MDOF:
-        model, ics, traj_in = _one_dof_view(ActionKind.MCA_SDOF, sdof, ics, traj)
+        model, ics, traj_in = mdof_view(sdof, ics, traj)
     value_rows = ["kind,path,value,h"]
     if kind in MIXED_KINDS:
         for scheme in SCHEMES:
@@ -321,6 +322,7 @@ def cmd_actions(args: argparse.Namespace) -> int:
     out = Path(args.output_dir)
     _write_atomic(out / "actions_values.csv", "\n".join(value_rows) + "\n")
     _write_atomic(out / "actions_residuals.csv", residuals.to_csv())
+    _check_residuals(residuals, f"(n={args.n}, h={grid.h:g})")
     return EXIT_OK
 
 

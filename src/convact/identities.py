@@ -292,7 +292,9 @@ def run_identity_sweep(
     t_final: float = 1.0,
     seed: int = 2024,
 ) -> list[SweepRow]:
-    """Residuals for every (kind, alpha, grid) cell with Richardson orders.
+    """Residuals for every (kind, alpha, grid) cell with Richardson orders:
+    log2 of the residual ratio of consecutive grids over log2 of their size
+    ratio (exactly 1 on doubling grids).
 
     Integer-order kinds appear once per grid (alpha-free). Rows come out in a
     canonical order: kind, then alpha, then grid size.
@@ -338,14 +340,12 @@ def run_identity_sweep(
             reports[kind, alpha, n] = _report(kind, a, grid.h, *sides)
     rows: list[SweepRow] = []
     for kind, alpha in cells:
-        prev: IdentityReport | None = None
-        for n in n_list:
-            rep = reports[kind, alpha, n]
-            order = None
-            if prev is not None and rep.residual > 0.0 and prev.residual > 0.0:
-                order = math.log2(prev.residual / rep.residual)
+        for i, n in enumerate(n_list):
+            rep, order = reports[kind, alpha, n], None
+            prev = reports[kind, alpha, n_list[i - 1]].residual if i else 0.0
+            if rep.residual > 0.0 and prev > 0.0:
+                order = math.log2(prev / rep.residual) / math.log2(n / n_list[i - 1])
             rows.append(SweepRow(rep, n, order))
-            prev = rep
     return rows
 
 

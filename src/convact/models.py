@@ -5,8 +5,12 @@ of the internal (spring) force, with dJ/dt equal to the force. Reference
 solutions come from two independent routes, both exact in u and in J: the
 closed-form damped oscillator (single dof, free or harmonically forced) and
 the exact state-space propagator, one matrix exponential per step (any dof
-count). Assemblers produce shear-building and clamped 1D-bar instances of the
-multi-dof model.
+count); `oracle_trajectory` picks the route by the model's type. The
+damped oscillator is also a one-dof multi-dof model: `mdof_view` lifts an
+`SdofModel` and its data onto that model, and `model_trajectory` takes the
+histories back, so the mixed action is assembled, evaluated and solved by
+the multi-dof code alone. Assemblers produce shear-building and clamped 1D-bar
+instances of the multi-dof model.
 
 Importing this module loads numpy alone: `MdofModel` places its flexibility
 blocks on the diagonal of A in numpy, and `mdof_oracle` imports
@@ -31,9 +35,12 @@ __all__ = [
     "analytic_sdof",
     "mdof_mixed_initials",
     "mdof_oracle",
+    "oracle_trajectory",
     "build_shear_building",
     "build_bar_1d",
     "sdof_as_mdof",
+    "mdof_view",
+    "model_trajectory",
     "mdof_to_json",
     "mdof_from_json",
 ]
@@ -431,11 +438,46 @@ def build_bar_1d(
 
 
 def sdof_as_mdof(model: SdofModel) -> MdofModel:
-    """One-dof embedding of an SdofModel; the mixed single-dof action is
-    assembled, evaluated and solved through it as the 1-dof case of the
-    multi-dof code. It is built once per model: every call on the same
-    model returns the same (read-only) MdofModel."""
+    """One-dof embedding of an SdofModel, built once per model: every call
+    on the same model returns the same (read-only) MdofModel."""
     return model._mdof_view
+
+
+def mdof_view(model, ics=None, *trajs) -> tuple:
+    """(model, ics, *trajs) as the multi-dof code takes them: an SdofModel
+    becomes its one-dof MdofModel (`sdof_as_mdof`), scalar initial data
+    1-vectors and scalar histories single columns; an MdofModel and its data
+    pass through unchanged. Anything else raises ValueError naming its type."""
+    if isinstance(model, MdofModel):
+        return (model, ics, *trajs)
+    if not isinstance(model, SdofModel):
+        raise ValueError(f"expected an SdofModel or an MdofModel, got {type(model).__name__}")
+    if ics is not None:
+        ics = tuple(np.array([float(x)]) for x in ics)
+    columns = (Trajectory(t.grid, t.u.reshape(-1, 1), t.J.reshape(-1, 1)) for t in trajs)
+    return (sdof_as_mdof(model), ics, *columns)
+
+
+def model_trajectory(model, grid: Grid, u: np.ndarray, J: np.ndarray) -> Trajectory:
+    """Histories (n_nodes, d) and (n_nodes, e) of `mdof_view(model)` as a
+    Trajectory of `model`: an SdofModel's single columns become scalars."""
+    if isinstance(model, SdofModel):
+        u, J = u[:, 0], J[:, 0]
+    return Trajectory(grid, u, J)
+
+
+def oracle_trajectory(model, u0, v0, grid: Grid) -> Trajectory:
+    """Exact trajectory of either model type: an SdofModel's closed form
+    (`analytic_sdof`) or, where it has none (undamped resonance), its
+    one-dof `mdof_oracle`; an MdofModel's `mdof_oracle`."""
+    if isinstance(model, SdofModel):
+        try:
+            return analytic_sdof(model, float(u0), float(v0), grid)
+        except ValueError:
+            pass
+    mdof, (u0, v0) = mdof_view(model, (u0, v0))
+    traj = mdof_oracle(mdof, u0, v0, grid)
+    return model_trajectory(model, grid, traj.u, traj.J)
 
 
 # ---------------------------------------------------------------------------

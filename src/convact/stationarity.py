@@ -22,9 +22,10 @@ numpy alone: `solve_stationary` loads scipy's LAPACK extension `_flapack`, not
 the scipy.linalg package, at its first call. No scipy.sparse code runs on this
 path; `QuadraticForm.K` imports it to build a CSR copy only when asked.
 
-The damped oscillator (MCA_SDOF) is solved as the one-dof case of the
-multi-dof system: `assemble` lifts the model through `sdof_as_mdof`, and the
-solved trajectory is reshaped to scalar histories only on the way out.
+The solve takes the model itself. An `SdofModel` is solved as the one-dof
+case of the multi-dof system: `assemble` lifts it and its initial data
+through `models.mdof_view`, and the solved trajectory comes back as scalar
+histories (`models.model_trajectory`). An `MdofModel` is solved as itself.
 """
 
 from __future__ import annotations
@@ -38,16 +39,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._discrete import DofLayout, band_matvec, build_mca_system
-from .actions import ActionKind
 from .grid import Grid
 from .models import (
-    MdofModel,
     SdofModel,
     Trajectory,
-    analytic_sdof,
     mdof_mixed_initials,
-    mdof_oracle,
-    sdof_as_mdof,
+    mdof_view,
+    model_trajectory,
+    oracle_trajectory,
 )
 
 __all__ = [
@@ -78,7 +77,7 @@ class QuadraticForm:
     the node-0 values eliminated and recorded in `node0`, which `layout`
     packs first. K is held as `band`, its (2b + 1, N) band storage
     band[b + i - j, j] = K[i, j] (see `build_mca_system`); `K` builds it as a
-    sparse CSR matrix on demand.
+    sparse CSR matrix on demand. `model` is the model given to `assemble`.
     """
 
     band: np.ndarray = field(repr=False)
@@ -86,8 +85,7 @@ class QuadraticForm:
     node0: np.ndarray
     layout: DofLayout
     grid: Grid
-    kind: ActionKind
-    scheme: str
+    model: object
 
     def __post_init__(self):
         band = np.ascontiguousarray(self.band, dtype=float)
@@ -149,22 +147,13 @@ class SolveReport:
     forward_error_bound: float
 
 
-def assemble(
-    kind: ActionKind, model, grid: Grid, u0, v0, scheme: str = "reduced"
-) -> QuadraticForm:
-    """Discretize the mixed convolved action and fold the node-0 constraints
-    (from the mixed initial conditions) into the free-dof system."""
-    if kind is ActionKind.MCA_SDOF:
-        if not isinstance(model, SdofModel):
-            raise ValueError("MCA_SDOF assembly needs an SdofModel")
-        model, u0, v0 = sdof_as_mdof(model), [float(u0)], [float(v0)]
-    elif kind is ActionKind.MCA_MDOF:
-        if not isinstance(model, MdofModel):
-            raise ValueError("MCA_MDOF assembly needs an MdofModel")
-    else:
-        raise ValueError(f"assemble supports the mixed kinds only, got {kind!r}")
-    node0 = np.concatenate(mdof_mixed_initials(model, u0, v0))
-    band, r, layout = build_mca_system(model, grid, scheme)
+def assemble(model, grid: Grid, u0, v0, scheme: str = "reduced") -> QuadraticForm:
+    """Discretize the mixed convolved action of an SdofModel (scalar u0, v0)
+    or an MdofModel (vectors) and fold the node-0 constraints (from the
+    mixed initial conditions) into the free-dof system."""
+    mdof, (u0, v0) = mdof_view(model, (u0, v0))
+    node0 = np.concatenate(mdof_mixed_initials(mdof, u0, v0))
+    band, r, layout = build_mca_system(mdof, grid, scheme)
     w, b = layout.width, len(band) // 2  # b = 3 w - 1
     # node 0, K's first w rows and columns, couples only with the values of
     # the next two nodes, K[w + k, j] for k < 2 w: fold them into r and clear
@@ -178,15 +167,8 @@ def assemble(
     half = int(np.max(np.flatnonzero(free[b:].any(axis=1)), initial=0))  # the nonzero half-bandwidth
     return QuadraticForm(
         band=free[b - half : b + half + 1], r=r, node0=node0, layout=layout, grid=grid,
-        kind=kind, scheme=scheme,
+        model=model,
     )
-
-
-def _traj_from_free(qf: QuadraticForm, d_free: np.ndarray) -> Trajectory:
-    u, J = qf.layout.unpack(qf.full_vector(d_free))
-    if qf.kind is ActionKind.MCA_SDOF:
-        return Trajectory(qf.grid, u[:, 0], J[:, 0])
-    return Trajectory(qf.grid, u, J)
 
 
 def _inverse_norm_estimate(solve, n: int) -> float:
@@ -240,6 +222,7 @@ def solve_stationary(qf: QuadraticForm) -> SolveReport:
     CONDITION_LIMIT, the half-precision budget of the double-precision solve.
     """
     lapack = _flapack()
+    name = "MCA_SDOF" if isinstance(qf.model, SdofModel) else "MCA_MDOF"
     width, n_free = qf.band.shape
     band = width // 2
     ab = np.zeros((3 * band + 1, n_free), order="F")  # band rows of fill room on top
@@ -247,7 +230,7 @@ def solve_stationary(qf: QuadraticForm) -> SolveReport:
     lu, ipiv, info = lapack.dgbtrf(ab, band, band, overwrite_ab=1)
     if info > 0:
         raise SingularSystemError(
-            f"exactly singular pivot in {qf.kind.value} system "
+            f"exactly singular pivot in {name} system "
             f"(n_steps={qf.grid.n_steps}, h={qf.grid.h:g})"
         )
     if info < 0:
@@ -264,7 +247,7 @@ def solve_stationary(qf: QuadraticForm) -> SolveReport:
     if condition > CONDITION_LIMIT:
         n_max = int(qf.grid.n_steps * math.sqrt(CONDITION_LIMIT / condition))
         raise SingularSystemError(
-            f"{qf.kind.value} system numerically singular: condition estimate "
+            f"{name} system numerically singular: condition estimate "
             f"{condition:.3e} exceeds {CONDITION_LIMIT:.3e} "
             f"(n_steps={qf.grid.n_steps}, h={qf.grid.h:g}); the estimated largest "
             f"admissible n_steps at this t is {n_max}"
@@ -275,7 +258,7 @@ def solve_stationary(qf: QuadraticForm) -> SolveReport:
                 float(np.max(np.abs(qf.r))), 1.0)
     gradient_norm = float(np.max(np.abs(grad))) / scale
     return SolveReport(
-        trajectory=_traj_from_free(qf, d),
+        trajectory=model_trajectory(qf.model, qf.grid, *qf.layout.unpack(qf.full_vector(d))),
         gradient_norm=gradient_norm,
         condition_estimate=condition,
         bandwidth=band,
@@ -312,57 +295,37 @@ class ConvergenceTable:
         return "\n".join(lines) + "\n"
 
 
-def _oracle_trajectory(kind: ActionKind, model, u0, v0, grid: Grid) -> Trajectory:
-    if kind is ActionKind.MCA_SDOF:
-        try:
-            return analytic_sdof(model, float(u0), float(v0), grid)
-        except ValueError:
-            mdof = sdof_as_mdof(model)
-            traj = mdof_oracle(mdof, [float(u0)], [float(v0)], grid)
-            return Trajectory(grid, traj.u[:, 0], traj.J[:, 0])
-    return mdof_oracle(model, u0, v0, grid)
-
-
 def _errors(solved: np.ndarray, oracle: np.ndarray, h: float) -> tuple[float, float]:
     diff = np.asarray(solved) - np.asarray(oracle)
     return float(np.max(np.abs(diff))), float(math.sqrt(h * np.sum(diff * diff)))
 
 
 def convergence_study(
-    kind: ActionKind,
-    model,
-    u0,
-    v0,
-    t_final: float,
-    n_list,
-    scheme: str = "reduced",
+    model, u0, v0, t_final: float, n_list, scheme: str = "reduced"
 ) -> ConvergenceTable:
-    """Solve on each grid and boil down errors against the oracle plus
-    Richardson order estimates between consecutive grids."""
+    """Solve on each grid and boil down errors against the oracle
+    (`models.oracle_trajectory`) plus Richardson order estimates against
+    the previous grid."""
     n_list = list(n_list)
     if len(n_list) < 3 or sorted(n_list) != n_list or len(set(n_list)) != len(n_list):
         raise ValueError("n_list must be strictly increasing with length >= 3")
-    rows = []
+    rows: list[ConvergenceRow] = []
     for n in n_list:
         grid = Grid(t_final, n)
         t0 = time.perf_counter()
-        report = solve_stationary(assemble(kind, model, grid, u0, v0, scheme))
+        report = solve_stationary(assemble(model, grid, u0, v0, scheme))
         wall_ms = (time.perf_counter() - t0) * 1e3
-        oracle = _oracle_trajectory(kind, model, u0, v0, grid)
+        oracle = oracle_trajectory(model, u0, v0, grid)
         eu_sup, eu_l2 = _errors(report.trajectory.u, oracle.u, grid.h)
         ej_sup, ej_l2 = _errors(report.trajectory.J, oracle.J, grid.h)
-        rows.append((n, grid.h, eu_sup, eu_l2, ej_sup, ej_l2, wall_ms))
-    out = []
-    for i, (n, h, eu_sup, eu_l2, ej_sup, ej_l2, wall_ms) in enumerate(rows):
         order_u = order_j = None
-        if i > 0:
-            h_prev, eu_prev, ej_prev = rows[i - 1][1], rows[i - 1][2], rows[i - 1][4]
-            denom = math.log(h_prev / h)
-            if eu_prev > 0.0 and eu_sup > 0.0:
-                order_u = math.log(eu_prev / eu_sup) / denom
-            if ej_prev > 0.0 and ej_sup > 0.0:
-                order_j = math.log(ej_prev / ej_sup) / denom
-        out.append(
-            ConvergenceRow(n, h, eu_sup, eu_l2, ej_sup, ej_l2, order_u, order_j, wall_ms)
+        if rows:
+            prev, denom = rows[-1], math.log(rows[-1].h / grid.h)
+            if prev.err_u_sup > 0.0 and eu_sup > 0.0:
+                order_u = math.log(prev.err_u_sup / eu_sup) / denom
+            if prev.err_J_sup > 0.0 and ej_sup > 0.0:
+                order_j = math.log(prev.err_J_sup / ej_sup) / denom
+        rows.append(
+            ConvergenceRow(n, grid.h, eu_sup, eu_l2, ej_sup, ej_l2, order_u, order_j, wall_ms)
         )
-    return ConvergenceTable(tuple(out))
+    return ConvergenceTable(tuple(rows))

@@ -123,7 +123,7 @@ def test_criterion_05_mca_stationarity_sdof():
     field_sups = []
     for n in (128, 256, 512):
         g = Grid(10.0, n)
-        report = solve_stationary(assemble(ActionKind.MCA_SDOF, PRESET, g, 1.0, 0.0))
+        report = solve_stationary(assemble(PRESET, g, 1.0, 0.0))
         assert report.gradient_norm <= 1e-10
         oracle = analytic_sdof(PRESET, 1.0, 0.0, g)
         errors.append(float(np.max(np.abs(report.trajectory.u - oracle.u))))
@@ -174,10 +174,10 @@ def test_criterion_06_gradient_check():
     model = SdofModel(1.0, 0.2, 1.0, forcing=HarmonicForcing(0.5, 1.3, 0.1), j_hat_0=0.2)
     rels = []
     for scheme in ("reduced", "direct"):
-        qf = assemble(ActionKind.MCA_SDOF, model, g, 0.7, -0.4, scheme)
+        qf = assemble(model, g, 0.7, -0.4, scheme)
         rels.append(_fd_gradient_check(ActionKind.MCA_SDOF, model, qf, sdof_traj, scheme))
     building = build_shear_building(1, 1.0, 1.0, 0.2)
-    qf = assemble(ActionKind.MCA_MDOF, building, g, np.array([0.7]), np.array([-0.4]))
+    qf = assemble(building, g, np.array([0.7]), np.array([-0.4]))
     rels.append(_fd_gradient_check(ActionKind.MCA_MDOF, building, qf, mdof_traj, "reduced"))
     assert max(rels) <= 1e-6, rels
     _ok(6, f"assembled gradient vs central differences: worst relative "
@@ -234,9 +234,9 @@ def test_criterion_10_mdof_consistency():
     scale = max(abs(val_s), 1.0)
     assert abs(val_m - val_s) <= 1e-12 * scale
     rep_m = solve_stationary(
-        assemble(ActionKind.MCA_MDOF, building1, g, np.array([1.0]), np.array([0.0]))
+        assemble(building1, g, np.array([1.0]), np.array([0.0]))
     )
-    rep_s = solve_stationary(assemble(ActionKind.MCA_SDOF, PRESET, g, 1.0, 0.0))
+    rep_s = solve_stationary(assemble(PRESET, g, 1.0, 0.0))
     gap = float(np.max(np.abs(rep_m.trajectory.u[:, 0] - rep_s.trajectory.u)))
     assert gap <= 1e-12
 
@@ -249,7 +249,7 @@ def test_criterion_10_mdof_consistency():
     errs = []
     for n in (128, 256, 512):
         gg = Grid(6.0, n)
-        rep = solve_stationary(assemble(ActionKind.MCA_MDOF, building3, gg, u0, v0))
+        rep = solve_stationary(assemble(building3, gg, u0, v0))
         oracle = mdof_oracle(building3, u0, v0, gg)
         errs.append(float(np.max(np.abs(rep.trajectory.u - oracle.u))))
     assert errs[0] > errs[1] > errs[2], errs
@@ -285,8 +285,8 @@ def test_criterion_11_direct_reduced_cross_check():
     traj_gaps = []
     for n in (64, 128, 256):
         g = Grid(10.0, n)
-        red = solve_stationary(assemble(ActionKind.MCA_SDOF, PRESET, g, 1.0, 0.0, "reduced"))
-        dirc = solve_stationary(assemble(ActionKind.MCA_SDOF, PRESET, g, 1.0, 0.0, "direct"))
+        red = solve_stationary(assemble(PRESET, g, 1.0, 0.0, "reduced"))
+        dirc = solve_stationary(assemble(PRESET, g, 1.0, 0.0, "direct"))
         traj_gaps.append(float(np.max(np.abs(red.trajectory.u - dirc.trajectory.u))))
     assert traj_gaps[0] > traj_gaps[1] > traj_gaps[2], traj_gaps
     _ok(11, f"action-value gaps {['%.2e' % v for v in value_gaps]} and solved-"

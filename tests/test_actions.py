@@ -40,6 +40,7 @@ from convact.models import (
     analytic_sdof,
     build_shear_building,
     mdof_oracle,
+    mdof_view,
 )
 from convact.stationarity import assemble, solve_stationary
 
@@ -167,7 +168,7 @@ def test_variation_zero_direction():
 
 def test_variation_vanishes_at_solved_trajectory():
     g = Grid(10.0, 128)
-    qf = assemble(ActionKind.MCA_SDOF, DAMPED, g, 1.0, 0.0)
+    qf = assemble(DAMPED, g, 1.0, 0.0)
     rep = solve_stationary(qf)
     battery = make_direction_battery(g, count=16, seed=3)
     scale = max(abs(action_value(ActionKind.MCA_SDOF, DAMPED, rep.trajectory)), 1.0)
@@ -524,12 +525,21 @@ def test_mdof_el_residuals():
 def test_residual_report_csv():
     g = Grid(10.0, 64)
     traj = analytic_sdof(DAMPED, 1.0, 0.0, g)
-    rep = el_residuals(ActionKind.MCA_SDOF, DAMPED, traj, ics=(1.0, 0.0))
-    text = rep.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "name,sup_norm,l2_norm,excluded_nodes"
-    names = [line.split(",")[0] for line in lines[1:]]
-    assert names == ["motion", "compatibility", "motion_ic", "compatibility_ic"]
+    mixed = ["motion", "compatibility", "motion_ic", "compatibility_ic"]
+    one_dof_view = mdof_view(DAMPED, (1.0, 0.0), traj)
+    for kind, (model, ics, traj_in), expected in [
+        (ActionKind.MCA_SDOF, (DAMPED, (1.0, 0.0), traj), mixed),
+        (ActionKind.MCA_MDOF, one_dof_view, mixed),
+        (ActionKind.TONTI, (DAMPED, (1.0, 0.0), traj), ["motion", "initial"]),
+        (ActionKind.HAMILTON, (DAMPED, None, traj), ["motion"]),
+        (ActionKind.GURTIN, (DAMPED, (1.0, 0.0), traj), ["integro_motion"]),
+    ]:
+        rep = el_residuals(kind, model, traj_in, ics=ics)
+        text = rep.to_csv()
+        lines = text.strip().split("\n")
+        assert lines[0] == "name,sup_norm,l2_norm,excluded_nodes"
+        names = [line.split(",")[0] for line in lines[1:]]
+        assert names == expected, kind
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +677,7 @@ def test_mdof_variation_vanishes_at_solved_trajectory():
     building = build_shear_building(2, 1.0, 8.0, 0.3)
     u0 = np.array([0.5, -0.2])
     v0 = np.zeros(2)
-    qf = assemble(ActionKind.MCA_MDOF, building, g, u0, v0)
+    qf = assemble(building, g, u0, v0)
     rep = solve_stationary(qf)
     battery = make_direction_battery(g, count=8, seed=19)
     scale = max(abs(action_value(ActionKind.MCA_MDOF, building, rep.trajectory)), 1.0)

@@ -129,11 +129,25 @@ def _nan_trajectory(traj):
     [(["sdof"], "models.analytic_sdof"), (["mdof", "--preset", "shear-3"], "models.mdof_oracle")],
 )
 def test_non_finite_oracle_is_blamed_on_the_oracle(tmp_path, capsys, monkeypatch, command, blamed):
-    oracle = cli._oracle_trajectory
-    monkeypatch.setattr(cli, "_oracle_trajectory", lambda *a: _nan_trajectory(oracle(*a)))
+    oracle = cli.oracle_trajectory
+    monkeypatch.setattr(cli, "oracle_trajectory", lambda *a: _nan_trajectory(oracle(*a)))
     assert run(tmp_path, *command, "--n", "32") == 2
     err = capsys.readouterr().err
     assert f"numerical failure in {blamed}: non-finite oracle trajectory (n=32," in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["sdof"], ["mdof"], ["actions"], ["actions", "--kind", "mca-mdof"]],
+    ids=["sdof", "mdof", "actions-tonti", "actions-mca-mdof"],
+)
+def test_non_finite_residual_norms_exit_2(tmp_path, capsys, command):
+    # at h = 1.25e-301 the solve and the oracle are finite, but the
+    # second-difference stencils divide by h^2 = 0 and the norms read nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert run(tmp_path, *command, "--t", "1e-300", "--n", "8") == 2
+    err = capsys.readouterr().err
+    assert "numerical failure in actions.el_residuals: non-finite residual norm (n=8, h=1.25e-301)" in err
 
 
 def test_non_finite_solution_is_blamed_on_the_solve(tmp_path, capsys, monkeypatch):

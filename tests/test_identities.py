@@ -229,6 +229,15 @@ def test_sweep_covers_all_cells_and_orders_pass():
             assert order_gate(row.report.kind, row.order_estimate), row
 
 
+def test_sweep_orders_on_grids_growing_by_one_and_a_half():
+    # the order is log(residual ratio) / log(n ratio), not log2 of the ratio
+    rows = run_identity_sweep(list(IdentityKind), ALL_ALPHAS, [64, 96, 144])
+    estimates = [row for row in rows if row.order_estimate is not None]
+    assert len(estimates) == 2 * (len(INTEGER_KINDS) + 3 * (len(IdentityKind) - len(INTEGER_KINDS)))
+    for row in estimates:
+        assert order_gate(row.report.kind, row.order_estimate), row
+
+
 def test_sweep_rows_monotone_residuals():
     rows = run_identity_sweep(list(IdentityKind), ALL_ALPHAS, [64, 128, 256])
     series: dict = {}

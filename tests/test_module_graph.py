@@ -1,0 +1,32 @@
+"""The import graph of the convact package, read from its source."""
+
+import ast
+from pathlib import Path
+
+import convact
+
+SOURCES = sorted(Path(convact.__file__).parent.glob("*.py"))
+
+
+def _relative_imports(tree: ast.Module):
+    """(node, at module level) for every `from .x import ...` of a module."""
+    top = {id(node) for node in tree.body}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            yield node, id(node) in top
+
+
+def test_module_graph_is_acyclic_and_private_names_stay_home():
+    imported_by = {}
+    for path in SOURCES:
+        for node, at_top in _relative_imports(ast.parse(path.read_text())):
+            where = f"{path.name}:{node.lineno}"
+            # an import deferred into a function is how a cycle hides
+            assert at_top, f"{where}: relative import inside a function"
+            names = [alias.name for alias in node.names]
+            private = [name for name in names if name.startswith("_")]
+            assert not private, f"{where}: imports private names {private} from a sibling"
+            targets = [node.module] if node.module else names
+            imported_by.setdefault(path.stem, set()).update(targets)
+    assert "models" in imported_by["stationarity"]  # the walk saw the solve layer's imports
+    assert "actions" not in imported_by["stationarity"]

@@ -56,7 +56,7 @@ DAMPED = SdofModel(m=1.0, c=0.2, k=1.0)
 
 def test_assemble_homogeneous_is_homogeneous():
     g = Grid(2.0, 24)
-    qf = assemble(ActionKind.MCA_SDOF, SdofModel(1.0, 0.1, 2.0), g, 0.0, 0.0)
+    qf = assemble(SdofModel(1.0, 0.1, 2.0), g, 0.0, 0.0)
     np.testing.assert_array_equal(qf.r, np.zeros(qf.n_free))
     rep = solve_stationary(qf)
     np.testing.assert_array_equal(rep.trajectory.u, np.zeros(25))
@@ -66,13 +66,13 @@ def test_assemble_homogeneous_is_homogeneous():
 @pytest.mark.parametrize("scheme", ["reduced", "direct"])
 def test_assembled_matrix_symmetric(scheme):
     g = Grid(3.0, 20)
-    qf = assemble(ActionKind.MCA_SDOF, DAMPED, g, 1.0, 0.0, scheme)
+    qf = assemble(DAMPED, g, 1.0, 0.0, scheme)
     np.testing.assert_array_equal(qf.K.toarray(), qf.K.T.toarray())
 
 
 def test_dof_map_is_bijection_and_node0_fixed():
     g = Grid(1.0, 8)
-    qf = assemble(ActionKind.MCA_SDOF, DAMPED, g, 1.0, 0.5)
+    qf = assemble(DAMPED, g, 1.0, 0.5)
     width = qf.layout.width
     assert width == 2  # u and J at each node
     assert qf.n_free == qf.layout.size - width == 2 * 8
@@ -92,8 +92,8 @@ def test_dof_map_is_bijection_and_node0_fixed():
 
 def test_fixed_values_fold_into_linear_term():
     g = Grid(1.0, 8)
-    qf0 = assemble(ActionKind.MCA_SDOF, DAMPED, g, 0.0, 0.0)
-    qf1 = assemble(ActionKind.MCA_SDOF, DAMPED, g, 1.0, 0.0)
+    qf0 = assemble(DAMPED, g, 0.0, 0.0)
+    qf1 = assemble(DAMPED, g, 1.0, 0.0)
     assert np.max(np.abs(qf1.r - qf0.r)) > 0.0
     np.testing.assert_array_equal(qf0.K.toarray(), qf1.K.toarray())
 
@@ -103,7 +103,7 @@ def test_solved_sdof_converges_to_analytic():
     orders = []
     for n in (128, 256, 512):
         g = Grid(10.0, n)
-        rep = solve_stationary(assemble(ActionKind.MCA_SDOF, DAMPED, g, 1.0, 0.0))
+        rep = solve_stationary(assemble(DAMPED, g, 1.0, 0.0))
         assert rep.gradient_norm <= 1e-10
         oracle = analytic_sdof(DAMPED, 1.0, 0.0, g)
         errors.append(float(np.max(np.abs(rep.trajectory.u - oracle.u))))
@@ -114,13 +114,13 @@ def test_solved_sdof_converges_to_analytic():
 
 def test_solved_trajectory_is_discretely_stationary_and_consistent():
     g = Grid(10.0, 256)
-    qf = assemble(ActionKind.MCA_SDOF, DAMPED, g, 1.0, 0.0)
+    qf = assemble(DAMPED, g, 1.0, 0.0)
     rep = solve_stationary(qf)
     # discrete EL residuals of the continuous equations decrease with h
     res = el_residuals(ActionKind.MCA_SDOF, DAMPED, rep.trajectory, ics=(1.0, 0.0))
     assert res.ic_residuals["motion_ic"] == pytest.approx(0.0, abs=1e-10)
     g2 = Grid(10.0, 512)
-    rep2 = solve_stationary(assemble(ActionKind.MCA_SDOF, DAMPED, g2, 1.0, 0.0))
+    rep2 = solve_stationary(assemble(DAMPED, g2, 1.0, 0.0))
     res2 = el_residuals(ActionKind.MCA_SDOF, DAMPED, rep2.trajectory, ics=(1.0, 0.0))
     assert res2.sup("motion") < res.sup("motion")
     assert res2.sup("compatibility") < res.sup("compatibility")
@@ -128,7 +128,7 @@ def test_solved_trajectory_is_discretely_stationary_and_consistent():
 
 def test_gradient_matches_variation_on_unit_directions():
     g = Grid(2.0, 16)
-    qf = assemble(ActionKind.MCA_SDOF, DAMPED, g, 0.7, -0.3)
+    qf = assemble(DAMPED, g, 0.7, -0.3)
     rng = np.random.default_rng(4)
     d = rng.standard_normal(qf.n_free)
     x = qf.full_vector(d)
@@ -148,8 +148,8 @@ def test_direct_and_reduced_solutions_converge_together():
     gaps = []
     for n in (64, 128, 256):
         g = Grid(10.0, n)
-        red = solve_stationary(assemble(ActionKind.MCA_SDOF, DAMPED, g, 1.0, 0.0, "reduced"))
-        dirc = solve_stationary(assemble(ActionKind.MCA_SDOF, DAMPED, g, 1.0, 0.0, "direct"))
+        red = solve_stationary(assemble(DAMPED, g, 1.0, 0.0, "reduced"))
+        dirc = solve_stationary(assemble(DAMPED, g, 1.0, 0.0, "direct"))
         gaps.append(float(np.max(np.abs(red.trajectory.u - dirc.trajectory.u))))
     assert gaps[2] < gaps[1] < gaps[0]
 
@@ -158,9 +158,9 @@ def test_mdof_single_story_matches_sdof_exactly():
     g = Grid(4.0, 64)
     building = build_shear_building(1, 1.0, 1.0, 0.2)
     rep_m = solve_stationary(
-        assemble(ActionKind.MCA_MDOF, building, g, np.array([1.0]), np.array([0.0]))
+        assemble(building, g, np.array([1.0]), np.array([0.0]))
     )
-    rep_s = solve_stationary(assemble(ActionKind.MCA_SDOF, DAMPED, g, 1.0, 0.0))
+    rep_s = solve_stationary(assemble(DAMPED, g, 1.0, 0.0))
     np.testing.assert_allclose(rep_m.trajectory.u[:, 0], rep_s.trajectory.u, atol=1e-12)
     np.testing.assert_allclose(rep_m.trajectory.J[:, 0], rep_s.trajectory.J, atol=1e-12)
 
@@ -172,7 +172,7 @@ def test_mdof_solve_tracks_oracle():
     errs = []
     for n in (64, 128, 256):
         g = Grid(4.0, n)
-        rep = solve_stationary(assemble(ActionKind.MCA_MDOF, model, g, u0, v0))
+        rep = solve_stationary(assemble(model, g, u0, v0))
         orc = mdof_oracle(model, u0, v0, g)
         errs.append(float(np.max(np.abs(rep.trajectory.u - orc.u))))
     assert errs[2] < errs[1] < errs[0]
@@ -183,7 +183,7 @@ def test_solve_with_harmonic_forcing():
     errs = []
     for n in (128, 256):
         g = Grid(8.0, n)
-        rep = solve_stationary(assemble(ActionKind.MCA_SDOF, model, g, 0.4, 0.1))
+        rep = solve_stationary(assemble(model, g, 0.4, 0.1))
         oracle = analytic_sdof(model, 0.4, 0.1, g)
         errs.append(float(np.max(np.abs(rep.trajectory.u - oracle.u))))
     assert errs[1] < errs[0]
@@ -199,8 +199,7 @@ def test_singular_system_raises():
                 node0=np.zeros(1),
                 layout=layout,
                 grid=Grid(1.0, 2),
-                kind=ActionKind.MCA_SDOF,
-                scheme="reduced",
+                model=DAMPED,
             )
         )
 
@@ -214,8 +213,7 @@ def test_quadratic_form_validation():
             node0=np.zeros(1),
             layout=DofLayout(3, 1, 0),
             grid=Grid(1.0, 2),
-            kind=ActionKind.MCA_SDOF,
-            scheme="reduced",
+            model=DAMPED,
         )
     with pytest.raises(ValueError, match="free values"):
         QuadraticForm(
@@ -224,17 +222,17 @@ def test_quadratic_form_validation():
             node0=np.zeros(1),
             layout=DofLayout(4, 1, 0),
             grid=Grid(1.0, 2),
-            kind=ActionKind.MCA_SDOF,
-            scheme="reduced",
+            model=DAMPED,
         )
 
 
-def test_assemble_rejects_wrong_kind_or_model():
+def test_assemble_rejects_what_is_not_a_model():
     g = Grid(1.0, 8)
-    with pytest.raises(ValueError):
-        assemble(ActionKind.HAMILTON, DAMPED, g, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        assemble(ActionKind.MCA_MDOF, DAMPED, g, 0.0, 0.0)
+    for not_a_model in (ActionKind.MCA_SDOF, "shear-3", None):
+        with pytest.raises(ValueError, match=f"got {type(not_a_model).__name__}"):
+            assemble(not_a_model, g, 0.0, 0.0)
+    with pytest.raises(ValueError, match="got str"):
+        convergence_study("shear-3", 0.0, 0.0, 1.0, [8, 16, 32])
 
 
 def _random_coupled_model(rng, n_el: int = 2) -> MdofModel:
@@ -309,19 +307,15 @@ def test_action_value_matches_a_loop_over_model_entries(scheme):
 def test_sdof_assembly_is_the_one_dof_mdof_assembly(scheme):
     model = SdofModel(1.0, 0.3, 2.0, forcing=HarmonicForcing(0.5, 1.2, 0.1), j_hat_0=0.2)
     g = Grid(3.0, 16)
-    qf_s = assemble(ActionKind.MCA_SDOF, model, g, 0.6, -0.4, scheme)
-    qf_m = assemble(
-        ActionKind.MCA_MDOF, sdof_as_mdof(model), g, np.array([0.6]), np.array([-0.4]), scheme
-    )
+    qf_s = assemble(model, g, 0.6, -0.4, scheme)
+    qf_m = assemble(sdof_as_mdof(model), g, np.array([0.6]), np.array([-0.4]), scheme)
     np.testing.assert_array_equal(qf_s.K.toarray(), qf_m.K.toarray())
     np.testing.assert_array_equal(qf_s.r, qf_m.r)
     np.testing.assert_array_equal(qf_s.node0, qf_m.node0)
 
 
 def test_convergence_study_table():
-    table = convergence_study(
-        ActionKind.MCA_SDOF, DAMPED, 1.0, 0.0, 10.0, [64, 128, 256]
-    )
+    table = convergence_study(DAMPED, 1.0, 0.0, 10.0, [64, 128, 256])
     assert isinstance(table, ConvergenceTable)
     assert len(table.rows) == 3
     assert table.rows[0].order_u is None
@@ -337,9 +331,9 @@ def test_convergence_study_table():
 
 def test_convergence_study_validates_n_list():
     with pytest.raises(ValueError):
-        convergence_study(ActionKind.MCA_SDOF, DAMPED, 1.0, 0.0, 1.0, [64, 128])
+        convergence_study(DAMPED, 1.0, 0.0, 1.0, [64, 128])
     with pytest.raises(ValueError):
-        convergence_study(ActionKind.MCA_SDOF, DAMPED, 1.0, 0.0, 1.0, [128, 64, 256])
+        convergence_study(DAMPED, 1.0, 0.0, 1.0, [128, 64, 256])
 
 
 def test_conservative_case_schemes_converge_to_same_trajectory():
@@ -347,8 +341,8 @@ def test_conservative_case_schemes_converge_to_same_trajectory():
     errs_r, gaps = [], []
     for n in (64, 128, 256):
         g = Grid(10.0, n)
-        red = solve_stationary(assemble(ActionKind.MCA_SDOF, model, g, 1.0, 0.0, "reduced"))
-        dirc = solve_stationary(assemble(ActionKind.MCA_SDOF, model, g, 1.0, 0.0, "direct"))
+        red = solve_stationary(assemble(model, g, 1.0, 0.0, "reduced"))
+        dirc = solve_stationary(assemble(model, g, 1.0, 0.0, "direct"))
         oracle = analytic_sdof(model, 1.0, 0.0, g)
         errs_r.append(float(np.max(np.abs(red.trajectory.u - oracle.u))))
         gaps.append(float(np.max(np.abs(red.trajectory.u - dirc.trajectory.u))))
@@ -383,7 +377,7 @@ def test_reduced_assembly_is_bitwise_the_dense_block_sum(n):
         assert band_toarray(band).tobytes() == K_ref[np.ix_(order, order)].tobytes(), name
         assert r.tobytes() == r_ref[order].tobytes(), name
         u0 = np.linspace(0.3, -0.2, model.n_dof)
-        qf = assemble(ActionKind.MCA_MDOF, model, g, u0, 0.5 * u0)
+        qf = assemble(model, g, u0, 0.5 * u0)
         K_free, r_free = dense_free_system(model, g, qf.node0, order)
         assert qf.K.toarray().tobytes() == K_free.tobytes(), name
         assert qf.r.tobytes() == r_free.tobytes(), name
@@ -404,7 +398,7 @@ def test_direct_scheme_matches_dense_gl_product(n):
         assert np.max(np.abs(K - K_ref)) <= 1e-15 * np.max(np.abs(K_ref)), name
         np.testing.assert_array_equal(r, r_ref[order])
         u0 = np.linspace(0.3, -0.2, model.n_dof)
-        qf = assemble(ActionKind.MCA_MDOF, model, g, u0, 0.5 * u0, "direct")
+        qf = assemble(model, g, u0, 0.5 * u0, "direct")
         K_free, r_free = dense_free_system(model, g, qf.node0, order, "direct")
         assert np.max(np.abs(qf.K.toarray() - K_free)) <= 1e-15 * np.max(np.abs(K_free)), name
         assert np.max(np.abs(qf.r - r_free)) <= 1e-15 * np.max(np.abs(r_free)), name
@@ -426,19 +420,19 @@ def test_every_coupling_lies_within_two_fold_positions(n, scheme):
 
 
 @pytest.mark.parametrize(
-    "kind, model, u0, v0, t",
+    "model, u0, v0, t",
     [
-        (ActionKind.MCA_SDOF, SdofModel(1.0, 0.2, 1.0), 1.0, 0.0, 10.0),
-        (ActionKind.MCA_SDOF, SdofModel(1.0, 5.0, 1.0), 1.0, 0.0, 10.0),
-        (ActionKind.MCA_SDOF, FORCED, 1.0, 0.0, 10.0),
-        (ActionKind.MCA_MDOF, build_shear_building(3, 1.0, 10.0, 0.4), [1.0, 0.0, 0.0], [0.0] * 3, 6.0),
+        (SdofModel(1.0, 0.2, 1.0), 1.0, 0.0, 10.0),
+        (SdofModel(1.0, 5.0, 1.0), 1.0, 0.0, 10.0),
+        (FORCED, 1.0, 0.0, 10.0),
+        (build_shear_building(3, 1.0, 10.0, 0.4), [1.0, 0.0, 0.0], [0.0] * 3, 6.0),
     ],
     ids=["sdof", "overdamped", "forced", "shear-3"],
 )
-def test_direct_scheme_converges_at_first_order(kind, model, u0, v0, t):
+def test_direct_scheme_converges_at_first_order(model, u0, v0, t):
     # the direct K pairs nodal values with reflected increments (Pi), a
     # one-sided rule: first order, where the reduced scheme is second
-    table = convergence_study(kind, model, u0, v0, t, [128, 256, 512, 1024, 2048], "direct")
+    table = convergence_study(model, u0, v0, t, [128, 256, 512, 1024, 2048], "direct")
     assert table.rows[-1].order_u >= 0.95
     assert table.rows[-1].order_J >= 0.95
 
@@ -517,8 +511,8 @@ def test_mixed_solve_and_variation_enter_no_scipy_sparse():
     sys.setprofile(profile)
     try:
         for scheme in ("reduced", "direct"):
-            solve_stationary(assemble(ActionKind.MCA_SDOF, FORCED, Grid(10.0, 64), 1.0, 0.0, scheme))
-            solve_stationary(assemble(ActionKind.MCA_MDOF, SHEAR3, g, u0, np.zeros(3), scheme))
+            solve_stationary(assemble(FORCED, Grid(10.0, 64), 1.0, 0.0, scheme))
+            solve_stationary(assemble(SHEAR3, g, u0, np.zeros(3), scheme))
         action_variation(ActionKind.MCA_MDOF, SHEAR3, traj, direction, ics=(u0, np.zeros(3)))
     finally:
         sys.setprofile(None)
@@ -580,7 +574,7 @@ def test_missing_lapack_extension_raises_import_error(monkeypatch, tmp_path):
     scipy_spec = types.SimpleNamespace(submodule_search_locations=[str(tmp_path)])
     monkeypatch.setattr("importlib.util.find_spec", lambda name: scipy_spec)
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
-    qf = assemble(ActionKind.MCA_SDOF, FORCED, Grid(2.0, 8), 1.0, 0.0)
+    qf = assemble(FORCED, Grid(2.0, 8), 1.0, 0.0)
     with pytest.raises(ImportError, match="scipy.linalg._flapack") as err:
         solve_stationary(qf)
     assert str(tmp_path / "linalg") in str(err.value)
@@ -649,7 +643,7 @@ def small_models(draw):
 def test_banded_solve_matches_dense_solve(model, n, t, scheme):
     g = Grid(t, n)
     u0 = np.linspace(1.0, -0.5, model.n_dof)
-    qf = assemble(ActionKind.MCA_MDOF, model, g, u0, -u0, scheme)
+    qf = assemble(model, g, u0, -u0, scheme)
     K = qf.K.toarray()
     d_ref, cond_ref = dense_solve(K, qf.r)
     assume(cond_ref < CONDITION_LIMIT / 10)  # both estimates clear of the gate
@@ -687,7 +681,7 @@ def test_condition_estimate_agrees_with_dense_estimate(kind, model, t, n, scheme
     # the gate compares the estimate with CONDITION_LIMIT: one below the
     # dense (dsycon) estimate would loosen it
     u0, v0 = (1.0, 0.0) if kind is ActionKind.MCA_SDOF else (np.array([0.5, 0.2, -0.1]), np.zeros(3))
-    qf = assemble(kind, model, Grid(t, n), u0, v0, scheme)
+    qf = assemble(model, Grid(t, n), u0, v0, scheme)
     _, cond_ref = dense_solve(*_component_major(qf))
     ratio = solve_stationary(qf).condition_estimate / cond_ref
     assert 0.99 <= ratio <= 1.01
@@ -706,7 +700,7 @@ def test_condition_estimate_tracks_dense_estimate_on_random_models():
         model = _random_small_model(rng, d, damped=rng.random() < 0.7)
         g = Grid(float(rng.uniform(0.5, 5.0)), int(rng.integers(2, 40)))
         for scheme in ("reduced", "direct"):
-            qf = assemble(ActionKind.MCA_MDOF, model, g, np.ones(d), np.zeros(d), scheme)
+            qf = assemble(model, g, np.ones(d), np.zeros(d), scheme)
             K = qf.K.toarray()
             _, cond_ref = dense_solve(*_component_major(qf))
             if cond_ref > CONDITION_LIMIT / 10:
@@ -727,11 +721,11 @@ def test_condition_estimate_tracks_dense_estimate_on_random_models():
 
 def test_solve_report_bandwidth_and_error_bound():
     eps = np.finfo(float).eps
-    rep = solve_stationary(assemble(ActionKind.MCA_SDOF, FORCED, Grid(10.0, 256), 1.0, 0.0))
+    rep = solve_stationary(assemble(FORCED, Grid(10.0, 256), 1.0, 0.0))
     assert rep.bandwidth == 5
     assert rep.forward_error_bound == rep.condition_estimate * eps
     u0 = np.array([0.5, 0.2, -0.1])
-    rep = solve_stationary(assemble(ActionKind.MCA_MDOF, SHEAR3, Grid(6.0, 256), u0, np.zeros(3)))
+    rep = solve_stationary(assemble(SHEAR3, Grid(6.0, 256), u0, np.zeros(3)))
     assert rep.bandwidth == 16
     assert rep.forward_error_bound == rep.condition_estimate * eps
 
@@ -749,7 +743,7 @@ def test_assemble_and_solve_memory_is_linear(kind, model, n, u0, scheme):
     g = Grid(10.0, n)
     tracemalloc.start()
     try:
-        qf = assemble(kind, model, g, u0, 0.0 * u0, scheme)
+        qf = assemble(model, g, u0, 0.0 * u0, scheme)
         solve_stationary(qf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
