@@ -17,7 +17,6 @@ from .actions import (
 )
 from .fracops import (
     CompositionKind,
-    GlWeights,
     Side,
     composition_residual,
     frac_deriv,
@@ -25,11 +24,11 @@ from .fracops import (
     gl_weights,
 )
 from .grid import (
-    FracOrder,
     Grid,
     Signal,
     convolve,
     convolve_at_end,
+    frac_order,
     inner_product,
     reflect,
     sample,

@@ -7,7 +7,8 @@ are retained as-is; accuracy claims exclude the two nodes nearest a singular
 endpoint). Integrals use product quadrature with the weakly singular kernel
 integrated exactly against a piecewise-linear reconstruction of the samples,
 so no node needs to be excluded. At order alpha = 1 the derivative collapses
-to the two-point difference and the integral to running trapezoid.
+to the two-point difference and the integral to running trapezoid. Every
+operator takes its order as a float and checks it with `grid.frac_order`.
 """
 
 from __future__ import annotations
@@ -15,15 +16,13 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import FracOrder, Signal, as_order
+from .grid import Signal, frac_order
 
 __all__ = [
     "Side",
-    "GlWeights",
     "CompositionKind",
     "gl_weights",
     "frac_integral",
@@ -42,23 +41,16 @@ class Side(enum.Enum):
     RIGHT = enum.auto()
 
 
-@dataclass(frozen=True)
-class GlWeights:
-    """Grunwald-Letnikov weights w[j] = w[j-1] * (j - 1 - alpha) / j, w[0] = 1."""
+def gl_weights(alpha, count: int) -> np.ndarray:
+    """First `count` Grunwald-Letnikov weights w[j] = w[j-1] * (j - 1 - alpha) / j,
+    w[0] = 1.
 
-    alpha: FracOrder
-    w: np.ndarray = field(repr=False)
-
-
-def gl_weights(alpha, count: int) -> GlWeights:
-    """First `count` GL weights for the given order.
-
-    The weight array is cached per (alpha, count) and read-only, so repeated
-    calls share one array instead of rerunning the recurrence."""
-    order = as_order(alpha)
+    The array is cached per (alpha, count) and read-only, so repeated calls
+    share one array instead of rerunning the recurrence."""
+    a = frac_order(alpha)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    return GlWeights(order, _gl_weight_array(order.alpha, int(count)))
+    return _gl_weight_array(a, int(count))
 
 
 @functools.lru_cache(maxsize=32)
@@ -82,10 +74,10 @@ def frac_deriv(side: Side, u: Signal, alpha) -> Signal:
     For alpha = 1 these are the two-point differences approximating u' and
     -u' respectively.
     """
-    order = as_order(alpha)
+    a = frac_order(alpha)
     n = u.grid.n_steps
-    w = gl_weights(order, n + 1).w
-    scale = u.grid.h ** (-order.alpha)
+    w = gl_weights(a, n + 1)
+    scale = u.grid.h ** (-a)
     if side is Side.LEFT:
         vals = np.convolve(u.values, w)[: n + 1]
     elif side is Side.RIGHT:
@@ -136,11 +128,11 @@ def frac_integral(side: Side, u: Signal, alpha) -> Signal:
 
     Exact for piecewise-linear u; alpha = 1 reduces to running trapezoid.
     """
-    order = as_order(alpha)
+    a = frac_order(alpha)
     if side is Side.LEFT:
-        vals = _left_integral_values(u.values, u.grid.h, order.alpha)
+        vals = _left_integral_values(u.values, u.grid.h, a)
     elif side is Side.RIGHT:
-        vals = _left_integral_values(u.values[::-1], u.grid.h, order.alpha)[::-1]
+        vals = _left_integral_values(u.values[::-1], u.grid.h, a)[::-1]
     else:
         raise ValueError(f"unknown side {side!r}")
     return Signal(u.grid, vals)
@@ -169,17 +161,15 @@ def composition_residual(
     integral at its own base point, an integral over an empty interval, so
     it is exactly zero on the grid.
     """
-    a = as_order(alpha)
+    a = frac_order(alpha)
     if kind is CompositionKind.J_J:
         if beta is None:
             raise ValueError("J_J composition needs both orders")
-        b = as_order(beta)
-        if a.alpha + b.alpha > 1.0 + 1e-12:
-            raise ValueError(
-                f"J_J composition needs alpha + beta <= 1, got {a.alpha + b.alpha}"
-            )
+        b = frac_order(beta)
+        if a + b > 1.0 + 1e-12:
+            raise ValueError(f"J_J composition needs alpha + beta <= 1, got {a + b}")
         lhs = frac_integral(side, frac_integral(side, u, b), a)
-        rhs = frac_integral(side, u, FracOrder(a.alpha + b.alpha))
+        rhs = frac_integral(side, u, a + b)
     elif kind is CompositionKind.D_OF_J:
         lhs = frac_deriv(side, frac_integral(side, u, a), a)
         rhs = u

@@ -4,6 +4,7 @@ Everything downstream (fractional operators, action functionals, the global
 stationarity solve) works on signals sampled on a uniform grid over (0, t).
 The convolution of two signals is approximated with the trapezoid product
 rule, which is second-order accurate, exactly linear and exactly symmetric.
+A fractional order is a plain float in (0, 1]; `frac_order` checks it.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import numpy as np
 __all__ = [
     "Grid",
     "Signal",
-    "FracOrder",
+    "frac_order",
     "sample",
     "convolve",
+    "convolve_at_end",
     "inner_product",
     "reflect",
 ]
@@ -72,7 +74,8 @@ class Signal:
     """Real samples on a grid; one value per node, all finite.
 
     Signals are value types: the sample array is copied in and frozen, and
-    every operation returns a fresh Signal. (No __eq__: compare `values`.)
+    every operation returns a fresh Signal. (No `__eq__` and no arithmetic:
+    compare and combine `values`.)
     """
 
     grid: Grid
@@ -89,22 +92,6 @@ class Signal:
             raise ValueError("signal contains non-finite samples")
         object.__setattr__(self, "values", vals)
 
-    def __add__(self, other: "Signal") -> "Signal":
-        _require_same_grid(self, other)
-        return Signal(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "Signal") -> "Signal":
-        _require_same_grid(self, other)
-        return Signal(self.grid, self.values - other.values)
-
-    def __mul__(self, c: float) -> "Signal":
-        return Signal(self.grid, self.values * float(c))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Signal":
-        return Signal(self.grid, -self.values)
-
     def to_csv(self) -> str:
         """Two-column CSV `tau,value` at full double precision."""
         lines = ["tau,value"]
@@ -113,22 +100,13 @@ class Signal:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class FracOrder:
-    """Fractional order alpha in (0, 1]; alpha = 1 is the integer-order path."""
-
-    alpha: float
-
-    def __post_init__(self):
-        a = float(self.alpha)
-        if not (math.isfinite(a) and 0.0 < a <= 1.0):
-            raise ValueError(f"fractional order must lie in (0, 1], got {self.alpha!r}")
-        object.__setattr__(self, "alpha", a)
-
-
-def as_order(alpha) -> FracOrder:
-    """Coerce a float or FracOrder to a validated FracOrder."""
-    return alpha if isinstance(alpha, FracOrder) else FracOrder(float(alpha))
+def frac_order(alpha) -> float:
+    """A fractional order as a float, or ValueError unless it lies in (0, 1];
+    alpha = 1 is the integer-order path."""
+    a = float(alpha)
+    if not (math.isfinite(a) and 0.0 < a <= 1.0):
+        raise ValueError(f"fractional order must lie in (0, 1], got {a!r}")
+    return a
 
 
 def _require_same_grid(u: Signal, v: Signal):

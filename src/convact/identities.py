@@ -25,7 +25,7 @@ import numpy as np
 
 from ._stencils import deriv1
 from .fracops import Side, frac_deriv, frac_integral
-from .grid import Grid, Signal, as_order, convolve_at_end, inner_product
+from .grid import Grid, Signal, convolve_at_end, frac_order, inner_product
 from .grid import sample  # noqa: F401  not called here; perfbench/test_smoke.py traces this name
 
 __all__ = [
@@ -57,9 +57,6 @@ class IdentityKind(enum.Enum):
 
 
 INTEGER_KINDS = frozenset({IdentityKind.CLASSIC_INNER, IdentityKind.CONV_CLASSIC})
-
-# complementary-order pairings need 1 - alpha to be a valid order as well
-COMPLEMENTARY_KINDS = frozenset({IdentityKind.CONV_COMPLEMENTARY})
 
 # expected Richardson order of the residual under grid refinement
 ORDER_THRESHOLDS = {
@@ -131,13 +128,14 @@ def _riemann_pair(a: Signal, b: Signal, convolved: bool) -> float:
 
 def _order_of(kind: IdentityKind, alpha) -> float | None:
     """The fractional order a kind is evaluated at: None for the integer
-    kinds, which ignore `alpha`; mandatory otherwise."""
+    kinds, which ignore `alpha`; mandatory otherwise. The complementary
+    pairing needs 1 - alpha to be an order as well, so alpha < 1."""
     if kind in INTEGER_KINDS:
         return None
     if alpha is None:
         raise ValueError(f"{kind.value} requires a fractional order")
-    a = as_order(alpha).alpha
-    if kind in COMPLEMENTARY_KINDS and a >= 1.0:
+    a = frac_order(alpha)
+    if kind is IdentityKind.CONV_COMPLEMENTARY and a >= 1.0:
         raise ValueError(f"{kind.value} requires alpha < 1 (complement degenerates)")
     return a
 
@@ -224,7 +222,7 @@ def inner_u_udot(u: Signal) -> IdentityReport:
 def complementary_inner(u: Signal, alpha) -> IdentityReport:
     """Inner product of complementary-order fractional derivatives of u
     against (u(t)^2 + u(0)^2) / 2; path independent but history aware."""
-    a = as_order(alpha).alpha
+    a = frac_order(alpha)
     if a >= 1.0:
         raise ValueError("complementary pairing requires alpha < 1")
     dr = frac_deriv(Side.RIGHT, u, 1.0 - a)
@@ -297,7 +295,8 @@ def run_identity_sweep(
     ratio (exactly 1 on doubling grids).
 
     Integer-order kinds appear once per grid (alpha-free). Rows come out in a
-    canonical order: kind, then alpha, then grid size.
+    canonical order: kind, then alpha, then grid size. Every alpha and every
+    cell's order is checked before any cell is computed.
 
     Fractional kinds pair a phi that vanishes at both ends with a psi that
     keeps free ends, so the Grunwald-Letnikov boundary layer of the singular
@@ -322,8 +321,9 @@ def run_identity_sweep(
         trig_profile(seed, t_final, vanish_ends=True),  # phi of the fractional kinds
         trig_profile(seed + 1, t_final, vanish_ends=False),  # psi
     )
+    alphas = [frac_order(alpha) for alpha in alphas]
     cells = [
-        (kind, alpha)
+        (kind, alpha, _order_of(kind, alpha))
         for kind in kinds
         for alpha in ([None] if kind in INTEGER_KINDS else alphas)
     ]
@@ -333,13 +333,12 @@ def run_identity_sweep(
         taus = grid.nodes()
         free, pinned, psi = (Signal(grid, f(taus)) for f in profiles)
         memos: dict = {}  # one per alpha
-        for kind, alpha in cells:
+        for kind, alpha, a in cells:
             phi = free if kind in INTEGER_KINDS else pinned
-            a = _order_of(kind, alpha)
             sides = _sides(kind, phi, psi, a, memos.setdefault(alpha, {}))
             reports[kind, alpha, n] = _report(kind, a, grid.h, *sides)
     rows: list[SweepRow] = []
-    for kind, alpha in cells:
+    for kind, alpha, _ in cells:
         for i, n in enumerate(n_list):
             rep, order = reports[kind, alpha, n], None
             prev = reports[kind, alpha, n_list[i - 1]].residual if i else 0.0

@@ -105,6 +105,9 @@ class SdofModel:
             raise ValueError(f"stiffness must be > 0, got {self.k}")
         if self.c < 0.0:
             raise ValueError(f"damping must be >= 0, got {self.c}")
+        f = self.forcing
+        if f is not None and not (isinstance(f, HarmonicForcing) and np.ndim(f.amplitude) == 0):
+            raise ValueError(f"forcing: expected a scalar HarmonicForcing or None, got {f!r}")
 
     @property
     def a(self) -> float:
@@ -288,8 +291,8 @@ def analytic_sdof(model: SdofModel, u0: float, v0: float, grid: Grid) -> Traject
     All damping regimes are covered (under/critical/over). The impulse history
     is the integrated momentum balance J = j_hat_0 + F - m u' - c u, with u'
     from the same closed form and F the applied impulse, the integral of the
-    forcing from 0; at tau = 0 it is J(0) = j_hat_0 - m v0 - c u0. Unsupported
-    forcing shapes raise ValueError.
+    forcing from 0; at tau = 0 it is J(0) = j_hat_0 - m v0 - c u0. Undamped
+    resonance, which has no steady state, raises ValueError.
     """
     m, c, k = model.m, model.c, model.k
     wn = math.sqrt(k / m)
@@ -299,7 +302,7 @@ def analytic_sdof(model: SdofModel, u0: float, v0: float, grid: Grid) -> Traject
     if model.forcing is None:
         up0 = vp0 = 0.0
         u_part = du_part = applied = np.zeros_like(taus)
-    elif isinstance(model.forcing, HarmonicForcing) and np.ndim(model.forcing.amplitude) == 0:
+    else:
         f0 = float(model.forcing.amplitude)
         om = model.forcing.omega
         ph = model.forcing.phase
@@ -317,8 +320,6 @@ def analytic_sdof(model: SdofModel, u0: float, v0: float, grid: Grid) -> Traject
             applied = f0 * math.sin(ph) * taus
         else:
             applied = (f0 / om) * (math.cos(ph) - np.cos(om * taus + ph))
-    else:
-        raise ValueError(f"unsupported forcing shape: {model.forcing!r}")
 
     b1 = u0 - up0
     disc = zeta * zeta - 1.0

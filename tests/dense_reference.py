@@ -18,7 +18,7 @@ from scipy.linalg import lapack, toeplitz
 
 from convact._discrete import conv_end_linear, reflected_load_weights
 from convact.fracops import Side, frac_deriv, gl_weights
-from convact.grid import Signal, as_order
+from convact.grid import Signal, frac_order
 
 
 def conv_end_matrix(grid):
@@ -31,9 +31,9 @@ def conv_end_matrix(grid):
 
 def gl_derivative_matrix(n_steps, h, alpha):
     """Dense lower-triangular Toeplitz matrix of the LEFT GL derivative."""
-    order = as_order(alpha)
-    w = gl_weights(order, n_steps + 1).w
-    scale = h ** (-order.alpha)
+    a = frac_order(alpha)
+    w = gl_weights(a, n_steps + 1)
+    scale = h ** (-a)
     return toeplitz(scale * w, np.zeros(n_steps + 1))
 
 

@@ -32,9 +32,28 @@ def test_verify_identities_full_default_covers_all_cells(tmp_path):
     assert len(lines) - 1 == 5 * 3 * 3 + 2 * 3
 
 
-def test_verify_identities_alpha_one_complementary_rejected(tmp_path):
-    code = run(tmp_path, "verify-identities", "--alpha", "1.0", "--kind", "CONV_COMPLEMENTARY")
-    assert code == 1
+def test_verify_identities_alpha_one_complementary_rejected(tmp_path, capsys):
+    for argv, rule in [
+        (["--alpha", "1.0", "--kind", "CONV_COMPLEMENTARY"], "requires alpha < 1"),
+        (["--alpha", "1.5"], "must lie in (0, 1]"),
+        (["--alpha", "0"], "must lie in (0, 1]"),
+    ]:
+        code = run(tmp_path, "verify-identities", *argv)
+        assert code == 1
+        assert rule in capsys.readouterr().err
+        assert not (tmp_path / "identities.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["sdof", "mdof", "actions"])
+def test_residual_reports_refuse_two_steps_naming_n(tmp_path, capsys, command):
+    assert run(tmp_path, command, "--n", "2") == 1
+    assert "argument --n: the residual report needs n >= 3" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2}))
+    assert run(tmp_path, command, "--config", str(cfg)) == 1
+    assert "argument --n: the residual report needs n >= 3" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+    assert run(tmp_path, command, "--n", "3") == 0
 
 
 def test_verify_identities_tamper_exits_2(tmp_path, capsys, monkeypatch):

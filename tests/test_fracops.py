@@ -14,7 +14,7 @@ from convact.fracops import (
     gl_weights,
     interior_slice,
 )
-from convact.grid import FracOrder, Grid, Signal, reflect, sample
+from convact.grid import Grid, Signal, frac_order, reflect, sample
 
 
 def brute_left_integral(f, tau, alpha, n_sub=6000):
@@ -40,12 +40,12 @@ def test_gamma_reference_values():
 
 
 def test_gl_weights_half_order():
-    w = gl_weights(0.5, 4).w
+    w = gl_weights(0.5, 4)
     np.testing.assert_allclose(w, [1.0, -0.5, -0.125, -0.0625], rtol=1e-15)
 
 
 def test_gl_weights_integer_order():
-    w = gl_weights(1.0, 3).w
+    w = gl_weights(1.0, 3)
     np.testing.assert_allclose(w, [1.0, -1.0, 0.0], atol=1e-16)
 
 
@@ -57,23 +57,27 @@ def test_gl_weights_cached_array_is_the_recurrence(alpha, count):
     for j in range(1, count):
         ref[j] = ref[j - 1] * (j - 1 - alpha) / j
     for _ in range(2):  # the second call is served from the cache
-        w = gl_weights(alpha, count).w
+        w = gl_weights(alpha, count)
         assert w.tobytes() == ref.tobytes()
         assert not w.flags.writeable
 
 
 def test_gl_weights_float_and_order_share_weights():
     a = gl_weights(0.5, 65)
-    b = gl_weights(FracOrder(0.5), 65)
-    assert a.alpha == b.alpha
-    assert a.w.tobytes() == b.w.tobytes()
+    b = gl_weights(frac_order(0.5), 65)
+    assert a.tobytes() == b.tobytes()
+
+
+def test_gl_weights_int_float_and_numpy_orders_share_one_array():
+    n = 33
+    assert gl_weights(1, n) is gl_weights(1.0, n) is gl_weights(np.float64(1.0), n)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 0.9])
 def test_gl_weights_signs_and_partial_sums(alpha):
     from scipy.special import gammaln
 
-    w = gl_weights(alpha, 200).w
+    w = gl_weights(alpha, 200)
     assert w[0] == 1.0
     assert np.all(w[1:] < 0.0)
     partial = np.cumsum(w)

@@ -238,6 +238,27 @@ def test_sweep_orders_on_grids_growing_by_one_and_a_half():
         assert order_gate(row.report.kind, row.order_estimate), row
 
 
+@pytest.mark.parametrize(
+    "kinds, alphas, rule",
+    [
+        (list(IdentityKind), [0.5, 1.0], "CONV_COMPLEMENTARY requires alpha < 1"),
+        (list(IdentityKind), [0.5, 1.5], "must lie in"),
+        ([IdentityKind.CLASSIC_INNER], [1.5], "must lie in"),
+    ],
+    ids=["complementary-at-one", "above-one", "integer-kinds-only"],
+)
+def test_sweep_refuses_a_bad_order_before_computing_any_cell(monkeypatch, kinds, alphas, rule):
+    import convact.identities as identities
+
+    calls = []
+    for name in ("frac_deriv", "frac_integral"):
+        op = getattr(identities, name)
+        monkeypatch.setattr(identities, name, lambda *a, op=op: calls.append(a) or op(*a))
+    with pytest.raises(ValueError, match=rule):
+        run_identity_sweep(kinds, alphas, [16, 32])
+    assert calls == []
+
+
 def test_sweep_rows_monotone_residuals():
     rows = run_identity_sweep(list(IdentityKind), ALL_ALPHAS, [64, 128, 256])
     series: dict = {}

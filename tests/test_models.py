@@ -343,6 +343,18 @@ def test_mdof_model_validation_messages():
     assert scalar.forcing_history(np.array([0.0, 1.0])).shape == (2, 2)
 
 
+@pytest.mark.parametrize(
+    "forcing",
+    [HarmonicForcing(np.array([1.0, 2.0]), 1.0), lambda t: t, 1.0],
+    ids=["vector-amplitude", "callable", "number"],
+)
+def test_sdof_model_rejects_forcing_that_is_not_a_scalar_harmonic(forcing):
+    with pytest.raises(ValueError, match="forcing: expected a scalar HarmonicForcing or None"):
+        SdofModel(1.0, 0.2, 1.0, forcing=forcing)
+    SdofModel(1.0, 0.2, 1.0, forcing=HarmonicForcing(1.0, 1.0))
+    SdofModel(1.0, 0.2, 1.0, forcing=None)
+
+
 def _random_spd(rng, size):
     root = rng.standard_normal((size, size))
     return root @ root.T + size * np.eye(size)

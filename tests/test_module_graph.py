@@ -30,3 +30,19 @@ def test_module_graph_is_acyclic_and_private_names_stay_home():
             imported_by.setdefault(path.stem, set()).update(targets)
     assert "models" in imported_by["stationarity"]  # the walk saw the solve layer's imports
     assert "actions" not in imported_by["stationarity"]
+
+
+
+def test_all_lists_only_defined_names_and_covers_the_package_exports():
+    exported = {}
+    for path in SOURCES:
+        module = getattr(convact, path.stem, None)
+        if hasattr(module, "__all__"):
+            exported[path.stem] = set(module.__all__)
+            stale = sorted(name for name in module.__all__ if not hasattr(module, name))
+            assert not stale, f"{path.stem}.__all__ names what it does not define: {stale}"
+    assert {"grid", "fracops", "identities"} <= set(exported)  # the walk saw the __all__ lists
+    init = ast.parse(Path(convact.__file__).read_text())
+    for node, _ in _relative_imports(init):
+        missing = {alias.name for alias in node.names} - exported[node.module]
+        assert not missing, f"convact imports {sorted(missing)} outside {node.module}.__all__"
