@@ -35,7 +35,7 @@ from ._discrete import (
 )
 from ._stencils import deriv1, deriv2
 from .fracops import Side, frac_deriv
-from .grid import Grid, Signal, convolve, convolve_at_end
+from .grid import Grid, Signal, convolve, convolve_at_end, csv_text
 from .models import MdofModel, SdofModel, mdof_view
 
 __all__ = [
@@ -84,18 +84,13 @@ class ResidualReport:
         """CSV rows `name,sup_norm,l2_norm,excluded_nodes`; every node is
         included, so excluded_nodes is 0. Initial-condition entries are
         scalars, reported with both norms equal to |value|."""
-        lines = ["name,sup_norm,l2_norm,excluded_nodes"]
-        for name in self.field_residuals:
-            lines.append(f"{name},{self.sup(name):.17g},{self.l2(name):.17g},0")
-        for name, value in self.ic_residuals.items():
-            lines.append(f"{name},{abs(value):.17g},{abs(value):.17g},0")
-        return "\n".join(lines) + "\n"
+        rows = [(name, self.sup(name), self.l2(name), 0) for name in self.field_residuals]
+        rows += [(name, abs(value), abs(value), 0) for name, value in self.ic_residuals.items()]
+        return csv_text("name,sup_norm,l2_norm,excluded_nodes", rows)
 
 
-def _signal_of(traj, component=None) -> Signal:
-    if isinstance(traj, Signal):
-        return traj
-    return traj.u_signal(component)
+def _signal_of(traj) -> Signal:
+    return traj if isinstance(traj, Signal) else traj.u_signal()
 
 
 def _check_kind_inputs(kind: ActionKind, model, traj, what: str = "trajectory"):
@@ -287,8 +282,7 @@ def el_residuals(kind: ActionKind, model, traj, *, ics=None) -> ResidualReport:
         fields["compatibility"] = -ddJ @ model.A.T + du @ model.B
         v0 = np.asarray(ics[1], dtype=float)
         mot = model.M @ v0 + model.C @ u[0] + model.B @ J[0] - model.j_hat_0
-        jdot0 = np.linalg.solve(model.A, model.B.T @ u[0])
-        comp = -model.A @ jdot0 + model.B.T @ u[0]
+        comp = -model.A @ dJ[0] + model.B.T @ u[0]
         ics_out["motion_ic"] = float(np.max(np.abs(mot)))
         ics_out["compatibility_ic"] = float(np.max(np.abs(comp)))
     else:

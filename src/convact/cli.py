@@ -24,7 +24,7 @@ import numpy as np
 
 from ._discrete import SCHEMES
 from .actions import MIXED_KINDS, ActionKind, action_value, el_residuals
-from .grid import Grid
+from .grid import Grid, csv_text
 from .identities import IdentityKind, order_gate, run_identity_sweep, sweep_rows_to_csv
 from .models import (
     HarmonicForcing,
@@ -72,13 +72,15 @@ def _float_list(text: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
-        raise _UsageError(f"expected a comma-separated number list, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated number list, got {text!r}"
+        ) from exc
 
 
 def _int_list(text: str) -> list[int]:
     vals = _float_list(text)
     if not all(v.is_integer() for v in vals):  # False for inf and nan too
-        raise _UsageError(f"expected integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected integers, got {text!r}")
     return [int(v) for v in vals]
 
 
@@ -98,7 +100,7 @@ def _identity_kinds(text: str) -> list[IdentityKind]:
     try:
         return [IdentityKind(k) for k in text.split(",")]
     except ValueError as exc:
-        raise _UsageError(f"unknown identity kind: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"unknown identity kind: {exc}") from exc
 
 
 def _config_flags(args: argparse.Namespace) -> list[str]:
@@ -142,11 +144,9 @@ def cmd_verify_identities(args: argparse.Namespace) -> int:
         )
     failures = []
     for row in rows:
-        if row.order_estimate is not None and not order_gate(row.report.kind, row.order_estimate):
-            failures.append(
-                f"{row.report.kind.value} alpha={row.report.alpha} n={row.n_steps}: "
-                f"order {row.order_estimate:.3f}"
-            )
+        r, order = row.report, row.order_estimate
+        if order is not None and not order_gate(r.kind, order, r.residual):
+            failures.append(f"{r.kind.value} alpha={r.alpha} n={row.n_steps}: order {order:.3f}")
     print(
         f"verify-identities: {len(rows)} cells, "
         f"{'all order gates passed' if not failures else f'{len(failures)} gates FAILED'}"
@@ -302,15 +302,15 @@ def cmd_actions(args: argparse.Namespace) -> int:
     model, ics, traj_in = sdof, (u0, v0), traj
     if kind is ActionKind.MCA_MDOF:
         model, ics, traj_in = mdof_view(sdof, ics, traj)
-    value_rows = ["kind,path,value,h"]
+    value_rows = []
     if kind in MIXED_KINDS:
         for scheme in SCHEMES:
             val = action_value(kind, model, traj_in, ics=ics, scheme=scheme)
-            value_rows.append(f"{kind.value},{scheme},{val:.17g},{grid.h:.17g}")
+            value_rows.append((kind.value, scheme, val, grid.h))
             print(f"actions: kind={kind.value} path={scheme} value={val:.12g}")
     else:
         val = action_value(kind, model, traj_in, ics=ics)
-        value_rows.append(f"{kind.value},quadrature,{val:.17g},{grid.h:.17g}")
+        value_rows.append((kind.value, "quadrature", val, grid.h))
         print(f"actions: kind={kind.value} value={val:.12g}")
     residuals = el_residuals(kind, model, traj_in, ics=ics)
     for fname in residuals.field_residuals:
@@ -321,7 +321,7 @@ def cmd_actions(args: argparse.Namespace) -> int:
     for iname, ival in residuals.ic_residuals.items():
         print(f"actions: ic residual {iname}: {ival:.10g}")
     out = Path(args.output_dir)
-    _write_atomic(out / "actions_values.csv", "\n".join(value_rows) + "\n")
+    _write_atomic(out / "actions_values.csv", csv_text("kind,path,value,h", value_rows))
     _write_atomic(out / "actions_residuals.csv", residuals.to_csv())
     _check_residuals(residuals, f"(n={args.n}, h={grid.h:g})")
     return EXIT_OK

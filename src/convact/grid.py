@@ -5,6 +5,8 @@ stationarity solve) works on signals sampled on a uniform grid over (0, t).
 The convolution of two signals is approximated with the trapezoid product
 rule, which is second-order accurate, exactly linear and exactly symmetric.
 A fractional order is a plain float in (0, 1]; `frac_order` checks it.
+Every CSV is written by `csv_text`, or for a whole float table with
+`CELL_FORMAT`: a float cell is `%.17g`, which reads back bitwise.
 """
 
 from __future__ import annotations
@@ -15,9 +17,13 @@ from typing import Callable
 
 import numpy as np
 
+CELL_FORMAT = "%.17g"
+
 __all__ = [
+    "CELL_FORMAT",
     "Grid",
     "Signal",
+    "csv_text",
     "frac_order",
     "sample",
     "convolve",
@@ -94,10 +100,20 @@ class Signal:
 
     def to_csv(self) -> str:
         """Two-column CSV `tau,value` at full double precision."""
-        lines = ["tau,value"]
-        taus = self.grid.nodes()
-        lines += [f"{t:.17g},{v:.17g}" for t, v in zip(taus, self.values)]
-        return "\n".join(lines) + "\n"
+        return csv_text("tau,value", zip(self.grid.nodes(), self.values))
+
+
+def _cell(x) -> str:
+    if x is None:
+        return ""
+    return CELL_FORMAT % x if isinstance(x, float) else str(x)
+
+
+def csv_text(header: str, rows) -> str:
+    """The header line, then one comma-joined line per row, newline-ended: a
+    float cell (np.float64 too) as `CELL_FORMAT`, None empty, anything else by `str`."""
+    lines = [header] + [",".join(map(_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def frac_order(alpha) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._stencils import deriv1
 from .fracops import Side, frac_deriv, frac_integral
-from .grid import Grid, Signal, convolve_at_end, frac_order, inner_product
+from .grid import Grid, Signal, convolve_at_end, csv_text, frac_order, inner_product
 from .grid import sample  # noqa: F401  not called here; perfbench/test_smoke.py traces this name
 
 __all__ = [
@@ -74,10 +74,19 @@ ORDER_THRESHOLDS = {
 # gate allows this much slack on the estimate itself.
 ORDER_ESTIMATE_MARGIN = 0.05
 
+# A residual at or below this is roundoff and its order estimate noise, as for
+# INNER_INTEGRAL at alpha = 1 (the running trapezoid is its mirror's exact
+# adjoint): 0 and 1.4e-17. Each side's sums round to a few ulps of the scale
+# max(|lhs|, |rhs|, 1), growing like log2(n) under pairwise summation; 64 ulps
+# (1.4e-14) leaves room, and a defect C h^p is gated on its order above that.
+EXACT_RESIDUAL = 64 * float(np.finfo(float).eps)
 
-def order_gate(kind: IdentityKind, order_estimate: float) -> bool:
-    """Pass/fail rule used by the sweep gate for one refinement step."""
-    return order_estimate >= ORDER_THRESHOLDS[kind] - ORDER_ESTIMATE_MARGIN
+
+def order_gate(kind: IdentityKind, order_estimate: float, residual: float) -> bool:
+    """Pass/fail rule used by the sweep gate for one refinement step: the
+    residual is roundoff, or the order estimate reaches the kind's threshold."""
+    threshold = ORDER_THRESHOLDS[kind] - ORDER_ESTIMATE_MARGIN
+    return residual <= EXACT_RESIDUAL or order_estimate >= threshold
 
 
 @dataclass(frozen=True)
@@ -90,19 +99,16 @@ class IdentityReport:
     lhs: float
     rhs: float
     residual: float
-    scale: float
 
 
 def _report(kind: IdentityKind, alpha, h: float, lhs: float, rhs: float) -> IdentityReport:
-    scale = max(abs(lhs), abs(rhs), 1.0)
     return IdentityReport(
         kind=kind,
         alpha=None if alpha is None else float(alpha),
         h=h,
         lhs=float(lhs),
         rhs=float(rhs),
-        residual=abs(lhs - rhs) / scale,
-        scale=scale,
+        residual=abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0),
     )
 
 
@@ -350,13 +356,8 @@ def run_identity_sweep(
 
 def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
     """CSV report: kind,alpha,h,lhs,rhs,residual,order_estimate."""
-    lines = ["kind,alpha,h,lhs,rhs,residual,order_estimate"]
-    for row in rows:
-        r = row.report
-        alpha = "" if r.alpha is None else f"{r.alpha:.17g}"
-        order = "" if row.order_estimate is None else f"{row.order_estimate:.17g}"
-        lines.append(
-            f"{r.kind.value},{alpha},{r.h:.17g},{r.lhs:.17g},{r.rhs:.17g},"
-            f"{r.residual:.17g},{order}"
-        )
-    return "\n".join(lines) + "\n"
+    cells = [(row.report, row.order_estimate) for row in rows]
+    return csv_text(
+        "kind,alpha,h,lhs,rhs,residual,order_estimate",
+        [(r.kind.value, r.alpha, r.h, r.lhs, r.rhs, r.residual, order) for r, order in cells],
+    )

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 import numpy as np
 
-from .grid import Grid, Signal
+from .grid import CELL_FORMAT, Grid, Signal
 
 __all__ = [
     "HarmonicForcing",
@@ -254,9 +254,8 @@ class Trajectory:
     def is_scalar(self) -> bool:
         return self.u.ndim == 1
 
-    def u_signal(self, component: int | None = None) -> Signal:
-        vals = self.u if self.u.ndim == 1 else self.u[:, component]
-        return Signal(self.grid, vals)
+    def u_signal(self) -> Signal:
+        return Signal(self.grid, self.u)
 
     def to_csv(self) -> str:
         """Columns tau,u...,J... at full double precision."""
@@ -268,7 +267,7 @@ class Trajectory:
                 [f"u{i}" for i in range(self.u.shape[1])]
                 + [f"J{e}" for e in range(self.J.shape[1])]
             )
-        fmt = "\n".join([",".join(["%.17g"] * table.shape[1])] * table.shape[0])
+        fmt = "\n".join([",".join([CELL_FORMAT] * table.shape[1])] * table.shape[0])
         return f"{header}\n{fmt % tuple(table.ravel().tolist())}\n"
 
 
@@ -347,7 +346,7 @@ def analytic_sdof(model: SdofModel, u0: float, v0: float, grid: Grid) -> Traject
     return Trajectory(grid, u, model.j_hat_0 + applied - m * (du_hom + du_part) - c * u)
 
 
-def mdof_oracle(model: MdofModel, u0, v0, grid: Grid, with_velocity: bool = False):
+def mdof_oracle(model: MdofModel, u0, v0, grid: Grid) -> Trajectory:
     """Exact sampled trajectory of M u'' + C u' + (B A^-1 B^T) u = f with
     J' = A^-1 B^T u and J(0) from the mixed initial conditions.
 
@@ -356,10 +355,7 @@ def mdof_oracle(model: MdofModel, u0, v0, grid: Grid, with_velocity: bool = Fals
     augmented state z = (u, u', J, s, c) obeys the autonomous linear system
     z' = F z with u'' = M^-1 (a s - C u' - B A^-1 B^T u). One matrix
     exponential expm(h F) (Van Loan 1978) maps each node onto the next,
-    exact up to roundoff.
-
-    Returns the Trajectory, or (Trajectory, velocity history) when
-    `with_velocity` is set (for energy audits)."""
+    exact up to roundoff."""
     from scipy.linalg import expm  # imported where it runs: verify paths never load scipy
 
     d, e = model.n_dof, model.n_el
@@ -381,8 +377,7 @@ def mdof_oracle(model: MdofModel, u0, v0, grid: Grid, with_velocity: bool = Fals
     z[0] = np.concatenate([u0, v0, j0, [math.sin(forcing.phase), math.cos(forcing.phase)]])
     for node in range(1, grid.n_nodes):
         z[node] = step @ z[node - 1]
-    traj = Trajectory(grid, z[:, u], z[:, j])
-    return (traj, z[:, v]) if with_velocity else traj
+    return Trajectory(grid, z[:, u], z[:, j])
 
 
 def _incidence(n: int) -> np.ndarray:

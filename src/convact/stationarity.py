@@ -34,12 +34,12 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from ._discrete import DofLayout, band_matvec, build_mca_system
-from .grid import Grid
+from .grid import Grid, csv_text
 from .models import (
     SdofModel,
     Trajectory,
@@ -284,15 +284,8 @@ class ConvergenceTable:
     rows: tuple
 
     def to_csv(self) -> str:
-        lines = ["n,h,err_u_sup,err_u_l2,err_J_sup,err_J_l2,order_u,order_J,wall_ms"]
-        for row in self.rows:
-            ou = "" if row.order_u is None else f"{row.order_u:.17g}"
-            oj = "" if row.order_J is None else f"{row.order_J:.17g}"
-            lines.append(
-                f"{row.n_steps},{row.h:.17g},{row.err_u_sup:.17g},{row.err_u_l2:.17g},"
-                f"{row.err_J_sup:.17g},{row.err_J_l2:.17g},{ou},{oj},{row.wall_ms:.17g}"
-            )
-        return "\n".join(lines) + "\n"
+        header = "n,h,err_u_sup,err_u_l2,err_J_sup,err_J_l2,order_u,order_J,wall_ms"
+        return csv_text(header, map(astuple, self.rows))  # fields in header order
 
 
 def _errors(solved: np.ndarray, oracle: np.ndarray, h: float) -> tuple[float, float]:

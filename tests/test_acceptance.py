@@ -121,6 +121,7 @@ def test_criterion_05_mca_stationarity_sdof():
     start = time.perf_counter()
     errors = []
     field_sups = []
+    compat_ics = []
     for n in (128, 256, 512):
         g = Grid(10.0, n)
         report = solve_stationary(assemble(PRESET, g, 1.0, 0.0))
@@ -129,7 +130,7 @@ def test_criterion_05_mca_stationarity_sdof():
         errors.append(float(np.max(np.abs(report.trajectory.u - oracle.u))))
         res = el_residuals(ActionKind.MCA_SDOF, PRESET, report.trajectory, ics=(1.0, 0.0))
         assert abs(res.ic_residuals["motion_ic"]) <= 1e-10
-        assert abs(res.ic_residuals["compatibility_ic"]) <= 1e-10
+        compat_ics.append(res.ic_residuals["compatibility_ic"])
         field_sups.append((res.sup("motion"), res.sup("compatibility")))
     elapsed = time.perf_counter() - start
     assert errors[0] > errors[1] > errors[2], errors
@@ -137,6 +138,9 @@ def test_criterion_05_mca_stationarity_sdof():
     assert min(orders) >= 0.8, orders
     for j in range(2):
         assert field_sups[0][j] > field_sups[1][j] > field_sups[2][j]
+    # A J'(0) = u(0) with J'(0) differenced from the solved J: O(h^2)
+    ic_orders = [math.log2(compat_ics[i] / compat_ics[i + 1]) for i in range(2)]
+    assert min(ic_orders) >= 1.9, (compat_ics, ic_orders)
     assert elapsed < 30.0, f"took {elapsed:.1f} s"
     _ok(5, f"sup errors {['%.2e' % e for e in errors]} orders "
            f"{['%.2f' % o for o in orders]}, field residuals decreasing, "

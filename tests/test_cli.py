@@ -73,6 +73,27 @@ def test_verify_identities_unknown_kind(tmp_path):
     assert run(tmp_path, "verify-identities", "--kind", "NOT_A_KIND") == 1
 
 
+def test_verify_identities_passes_an_identity_exact_at_alpha_one(tmp_path, capsys):
+    kinds = "INNER_INTEGRAL,INNER_DERIV,CONV_LEFT,CONV_RIGHT"
+    assert run(tmp_path, "verify-identities", "--alpha", "0.3,0.6,1.0", "--kind", kinds) == 0
+    assert capsys.readouterr().out == "verify-identities: 36 cells, all order gates passed\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["mdof", "--v0", "a"], "--v0"),
+        (["mdof", "--u0", "0,b"], "--u0"),
+        (["verify-identities", "--alpha", "x"], "--alpha"),
+        (["convergence", "--n", "64,128.5,256"], "--n"),
+        (["verify-identities", "--kind", "CONV_LEFT,FOO"], "--kind"),
+    ],
+)
+def test_list_flag_errors_name_the_flag(tmp_path, capsys, argv, flag):
+    assert run(tmp_path, *argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: argument {flag}: ")
+
+
 def test_sdof_writes_files_and_summary(tmp_path, capsys):
     code = run(tmp_path, "sdof", "--n", "128")
     assert code == 0
@@ -388,7 +409,7 @@ def test_usage_error_exit_code():
 def test_non_finite_grid_sizes_exit_1(tmp_path, capsys, argv):
     assert main([*argv, "--output-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: expected integers, got '{argv[-1]}'")
+    assert err.startswith(f"error: argument --n: expected integers, got '{argv[-1]}'")
     assert "Traceback" not in err
 
 

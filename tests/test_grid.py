@@ -12,6 +12,7 @@ from convact.grid import (
     Signal,
     convolve,
     convolve_at_end,
+    csv_text,
     frac_order,
     inner_product,
     reflect,
@@ -200,6 +201,22 @@ def test_signal_csv_roundtrip_precision():
     assert lines[0] == "tau,value"
     parsed = [float(line.split(",")[1]) for line in lines[1:]]
     np.testing.assert_array_equal(parsed, s.values)
+
+
+def test_csv_text_cells():
+    floats = [-0.0, 5e-324, 0.1, 1.0 / 3.0, 1.7976931348623157e308, math.pi]
+    rows = [("row", np.float64(x), None, 7, x) for x in floats]
+    text = csv_text("name,a,gap,count,b", rows)
+    assert text.endswith("\n") and text.count("\n") == len(rows) + 1
+    lines = text.splitlines()
+    assert lines[0] == "name,a,gap,count,b"
+    assert lines[3] == "row,0.10000000000000001,,7,0.10000000000000001"
+    for x, line in zip(floats, lines[1:]):
+        cells = line.split(",")
+        assert cells[:1] + cells[2:4] == ["row", "", "7"]
+        for cell in (cells[1], cells[4]):
+            assert np.array([float(cell)]).tobytes() == np.array([x]).tobytes()  # bitwise
+    assert csv_text("only,a,header", []) == "only,a,header\n"
 
 
 @settings(max_examples=25, deadline=None)

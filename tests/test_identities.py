@@ -7,6 +7,7 @@ from convact.fracops import Side, frac_deriv, frac_integral
 from convact.grid import Grid, Signal, sample
 from convact.identities import (
     _fi_at_base,
+    EXACT_RESIDUAL,
     INTEGER_KINDS,
     IdentityKind,
     complementary_conv,
@@ -224,9 +225,10 @@ def test_sweep_covers_all_cells_and_orders_pass():
     integer = sum(1 for k in IdentityKind if k in INTEGER_KINDS)
     fractional = len(IdentityKind) - integer
     assert len(rows) == 3 * (integer + 3 * fractional)
+    assert min(row.report.residual for row in rows) > EXACT_RESIDUAL  # all gated on order
     for row in rows:
         if row.order_estimate is not None:
-            assert order_gate(row.report.kind, row.order_estimate), row
+            assert order_gate(row.report.kind, row.order_estimate, row.report.residual), row
 
 
 def test_sweep_orders_on_grids_growing_by_one_and_a_half():
@@ -234,8 +236,59 @@ def test_sweep_orders_on_grids_growing_by_one_and_a_half():
     rows = run_identity_sweep(list(IdentityKind), ALL_ALPHAS, [64, 96, 144])
     estimates = [row for row in rows if row.order_estimate is not None]
     assert len(estimates) == 2 * (len(INTEGER_KINDS) + 3 * (len(IdentityKind) - len(INTEGER_KINDS)))
+    assert min(row.report.residual for row in rows) > EXACT_RESIDUAL
     for row in estimates:
-        assert order_gate(row.report.kind, row.order_estimate), row
+        assert order_gate(row.report.kind, row.order_estimate, row.report.residual), row
+
+
+def test_order_gate_passes_a_roundoff_residual_and_keeps_the_threshold():
+    kind = IdentityKind.INNER_INTEGRAL  # threshold 1.0, margin 0.05
+    assert order_gate(kind, 0.0, 0.0) and order_gate(kind, -5.0, EXACT_RESIDUAL)
+    assert not order_gate(kind, 0.0, 2.0 * EXACT_RESIDUAL)
+    assert order_gate(kind, 0.96, 1.0) and not order_gate(kind, 0.94, 1.0)
+
+
+EXACT_AT_ONE = (
+    [IdentityKind.INNER_INTEGRAL, IdentityKind.INNER_DERIV, IdentityKind.CONV_LEFT,
+     IdentityKind.CONV_RIGHT],
+    (0.3, 0.6, 1.0),
+    [64, 128, 256],
+)
+
+
+def _gate_failures(rows) -> set:
+    """(kind, alpha) of every cell whose refinement step fails the gate."""
+    return {
+        (row.report.kind, row.report.alpha)
+        for row in rows
+        if row.order_estimate is not None
+        and not order_gate(row.report.kind, row.order_estimate, row.report.residual)
+    }
+
+
+def test_an_identity_exact_at_alpha_one_passes_the_gate():
+    # at alpha = 1 the product rule is the running trapezoid, the exact
+    # adjoint of its mirror image: the residual is roundoff, its order noise
+    rows = run_identity_sweep(*EXACT_AT_ONE)
+    exact = {(r.report.kind, r.report.alpha) for r in rows if r.report.residual <= EXACT_RESIDUAL}
+    assert exact == {(IdentityKind.INNER_INTEGRAL, 1.0)}
+    assert _gate_failures(rows) == set()
+
+
+@pytest.mark.parametrize("error, failing_alphas", [(1e-3, {0.3, 0.6, 1.0}), (1e-9, {1.0})])
+def test_a_perturbed_left_integral_still_fails_the_gate(monkeypatch, error, failing_alphas):
+    # every weight of the left product rule off by `error` (a wrong
+    # 1/Gamma(a + 2)), so it is no longer the right rule's adjoint; one
+    # Toeplitz weight changed in both rules would keep the adjoint pairing
+    import convact.identities as identities
+
+    def left_off(side, u, alpha):
+        out = frac_integral(side, u, alpha)
+        return Signal(u.grid, out.values * (1.0 + error)) if side is Side.LEFT else out
+
+    monkeypatch.setattr(identities, "frac_integral", left_off)
+    failures = _gate_failures(run_identity_sweep(*EXACT_AT_ONE))
+    assert failures == {(IdentityKind.INNER_INTEGRAL, a) for a in failing_alphas}
 
 
 @pytest.mark.parametrize(

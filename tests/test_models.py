@@ -200,7 +200,8 @@ def test_mdof_oracle_conserves_energy_undamped():
     model = build_shear_building(3, 1.0, 10.0, 0.0)
     g = Grid(5.0, 256)
     u0 = np.array([1.0, 0.5, -0.2])
-    traj, v = mdof_oracle(model, u0, np.zeros(3), g, with_velocity=True)
+    traj = mdof_oracle(model, u0, np.zeros(3), g)
+    v = -traj.J @ np.linalg.solve(model.M, model.B).T  # momentum balance M u' + B J = 0
     k_red = model.reduced_stiffness()
     energy = 0.5 * np.einsum("ni,ij,nj->n", v, model.M, v) + 0.5 * np.einsum(
         "ni,ij,nj->n", traj.u, k_red, traj.u
@@ -258,7 +259,12 @@ def test_mdof_oracle_matches_high_order_integrator(model, u0, v0, t_final):
         return np.concatenate([v, acc, jdot])
 
     g = Grid(t_final, 128)
-    traj, vel = mdof_oracle(model, u0, v0, g, with_velocity=True)
+    traj = mdof_oracle(model, u0, v0, g)
+    # the velocity from the momentum balance M u' + C u + B J = j_hat_0 + int_0^tau f
+    f = model.forcing
+    applied = np.outer(np.cos(f.phase) - np.cos(f.omega * g.nodes() + f.phase), f.amplitude)
+    momentum = model.j_hat_0 + applied / f.omega - traj.u @ model.C.T - traj.J @ model.B.T
+    vel = np.linalg.solve(model.M, momentum.T).T
     _, j0 = mdof_mixed_initials(model, u0, v0)
     sol = solve_ivp(
         rhs, (0.0, t_final), np.concatenate([u0, v0, j0]), method="DOP853",

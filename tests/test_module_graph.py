@@ -32,6 +32,10 @@ def test_module_graph_is_acyclic_and_private_names_stay_home():
     assert "actions" not in imported_by["stationarity"]
 
 
+def test_the_csv_cell_format_is_stated_in_grid_alone():
+    stating = [path.name for path in SOURCES if "17g" in path.read_text()]
+    assert stating == ["grid.py"], stating
+
 
 def test_all_lists_only_defined_names_and_covers_the_package_exports():
     exported = {}
