@@ -82,11 +82,15 @@ ORDER_ESTIMATE_MARGIN = 0.05
 EXACT_RESIDUAL = 64 * float(np.finfo(float).eps)
 
 
-def order_gate(kind: IdentityKind, order_estimate: float, residual: float) -> bool:
+def order_gate(kind: IdentityKind, order_estimate: float | None, residual: float) -> bool:
     """Pass/fail rule used by the sweep gate for one refinement step: the
-    residual is roundoff, or the order estimate reaches the kind's threshold."""
+    residual is roundoff, or the order estimate reaches the kind's threshold.
+    A step with no estimate (the coarser residual was exactly 0) passes only
+    on its residual."""
     threshold = ORDER_THRESHOLDS[kind] - ORDER_ESTIMATE_MARGIN
-    return residual <= EXACT_RESIDUAL or order_estimate >= threshold
+    if residual <= EXACT_RESIDUAL:
+        return True
+    return order_estimate is not None and order_estimate >= threshold
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,10 @@ the multi-dof code alone. Assemblers produce shear-building and clamped 1D-bar
 instances of the multi-dof model.
 
 Importing this module loads numpy alone: `MdofModel` places its flexibility
-blocks on the diagonal of A in numpy, and `mdof_oracle` imports
-scipy.linalg's `expm` when it runs, the one scipy.linalg import of any run.
+blocks on the diagonal of A in numpy. `linalg_extension` loads one compiled
+module of scipy.linalg without the scipy.linalg package; `mdof_oracle` takes
+its matrix exponential from `_matfuncs_expm`, scipy's Padé kernels, and the
+banded solve its LAPACK from `_flapack`. No run imports scipy.linalg itself.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 import numpy as np
 
@@ -43,6 +47,7 @@ __all__ = [
     "model_trajectory",
     "mdof_to_json",
     "mdof_from_json",
+    "linalg_extension",
 ]
 
 
@@ -356,8 +361,6 @@ def mdof_oracle(model: MdofModel, u0, v0, grid: Grid) -> Trajectory:
     z' = F z with u'' = M^-1 (a s - C u' - B A^-1 B^T u). One matrix
     exponential expm(h F) (Van Loan 1978) maps each node onto the next,
     exact up to roundoff."""
-    from scipy.linalg import expm  # imported where it runs: verify paths never load scipy
-
     d, e = model.n_dof, model.n_el
     forcing = _UNFORCED if model.forcing is None else model.forcing
     u0, j0 = mdof_mixed_initials(model, u0, v0)
@@ -372,12 +375,60 @@ def mdof_oracle(model: MdofModel, u0, v0, grid: Grid) -> Trajectory:
     rate[v, s] = m_inv @ np.broadcast_to(forcing.amplitude, (d,))
     rate[j, u] = a_inv_bt
     rate[s, c], rate[c, s] = forcing.omega, -forcing.omega
-    step = expm(grid.h * rate)
+    step = _expm(grid.h * rate)
     z = np.empty((grid.n_nodes, c + 1))
     z[0] = np.concatenate([u0, v0, j0, [math.sin(forcing.phase), math.cos(forcing.phase)]])
     for node in range(1, grid.n_nodes):
         z[node] = step @ z[node - 1]
     return Trajectory(grid, z[:, u], z[:, j])
+
+
+def linalg_extension(name: str):
+    """The compiled module `scipy.linalg.<name>`, loaded from scipy's linalg
+    directory without importing the scipy.linalg package, which would load
+    about 300 modules more. A module already in `sys.modules` is reused, and a
+    later scipy.linalg import reuses the one loaded here. Raises ImportError
+    naming the module and the directory searched when the file is missing."""
+    name = f"scipy.linalg.{name}"
+    if name not in sys.modules:
+        from importlib import machinery, util
+        where = os.path.join(util.find_spec("scipy").submodule_search_locations[0], "linalg")
+        spec = machinery.PathFinder.find_spec(name, [where])
+        if spec is None:
+            raise ImportError(f"no {name} extension in {where}", name=name)
+        spec.loader.exec_module(module := util.module_from_spec(spec))
+        sys.modules[name] = module
+    return sys.modules[name]
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a), bitwise `scipy.linalg.expm(a)` for a float64 square `a` with
+    nonzero entries both above and below its diagonal.
+
+    This is the generic branch of scipy 1.17's `expm` (Al-Mohy & Higham 2009,
+    scaling and squaring over Padé degree 3, 5, 7, 9 or 13), calling the same
+    compiled kernels: `pick_pade_structure` picks the degree m and the
+    scaling s and scales a, `pade_UV_calc` leaves the Padé approximant in
+    am[0], and s squarings undo the scaling. scipy's diagonal and triangular
+    branches are left out: `mdof_oracle`'s rate matrix always has entries on
+    both sides, rate[u, v] = I above the diagonal and rate[v, u] = -M^-1 B
+    A^-1 B^T below it, which is nonzero because A and B are invertible."""
+    kernels = linalg_extension("_matfuncs_expm")
+    n = len(a)
+    am = np.empty((5, n, n))  # scipy's work array: a, then its powers
+    am[0] = a
+    m, s = kernels.pick_pade_structure(am)
+    if m < 0:
+        raise MemoryError(f"expm could not allocate its Padé work (error code {m})")
+    info = kernels.pade_UV_calc(am, m)
+    if info <= -11:
+        raise MemoryError(f"expm could not allocate its Padé work (error code {info})")
+    if info != 0:
+        raise RuntimeError(f"expm got an internal LAPACK error (error code {info})")
+    e = am[0]
+    for _ in range(s):
+        e = e @ e
+    return e
 
 
 def _incidence(n: int) -> np.ndarray:

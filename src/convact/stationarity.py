@@ -17,9 +17,11 @@ solve copies the free block's band into LAPACK's array and factors it in place, 
 permutation, by banded LU (`dgbtrf`). The 1-norm of K, its largest entry and
 the gradient K d + r are read off the same band. The 1-norm condition number is estimated
 by Hager's method over banded solves with K and K^T, and a system whose
-estimate exceeds CONDITION_LIMIT is refused. Importing this module loads
-numpy alone: `solve_stationary` loads scipy's LAPACK extension `_flapack`, not
-the scipy.linalg package, at its first call. No scipy.sparse code runs on this
+estimate exceeds CONDITION_LIMIT is refused. A grid whose band storage
+would exceed MEMORY_BUDGET is refused by `assemble` before anything is
+allocated. Importing this module loads numpy alone: `solve_stationary` loads
+scipy's LAPACK extension `_flapack` through `models.linalg_extension`, not the
+scipy.linalg package, at its first call. No scipy.sparse code runs on this
 path; `QuadraticForm.K` imports it to build a CSR copy only when asked.
 
 The solve takes the model itself. An `SdofModel` is solved as the one-dof
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 import time
 from dataclasses import astuple, dataclass, field
 
@@ -43,6 +44,7 @@ from .grid import Grid, csv_text
 from .models import (
     SdofModel,
     Trajectory,
+    linalg_extension,
     mdof_mixed_initials,
     mdof_view,
     model_trajectory,
@@ -63,9 +65,15 @@ __all__ = [
 # half of the double-precision budget
 CONDITION_LIMIT = 1.0 / math.sqrt(np.finfo(float).eps)
 
+# bytes the band storage of one solve may take: half the physical memory, so
+# a grid too large for the machine is refused with a message instead of
+# swapping or being killed for want of memory
+MEMORY_BUDGET = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
+
 
 class SingularSystemError(RuntimeError):
-    """Raised when the assembled system is numerically singular."""
+    """Raised when the assembled system is numerically singular or exceeds
+    the memory budget."""
 
 
 @dataclass(frozen=True)
@@ -152,9 +160,19 @@ def assemble(model, grid: Grid, u0, v0, scheme: str = "reduced") -> QuadraticFor
     or an MdofModel (vectors) and fold the node-0 constraints (from the
     mixed initial conditions) into the free-dof system."""
     mdof, (u0, v0) = mdof_view(model, (u0, v0))
+    w = mdof.n_dof + mdof.n_el
+    need = _band_bytes(grid.n_nodes, w)
+    if need > MEMORY_BUDGET:
+        n_max = MEMORY_BUDGET // _band_bytes(1, w) - 1
+        raise SingularSystemError(
+            f"system too large: its band storage needs {need / 2**20:.0f} MiB, over the "
+            f"budget of {MEMORY_BUDGET / 2**20:.0f} MiB, half the physical memory "
+            f"(n_steps={grid.n_steps}, {w} values per node); the largest admissible "
+            f"n_steps is {n_max}"
+        )
     node0 = np.concatenate(mdof_mixed_initials(mdof, u0, v0))
     band, r, layout = build_mca_system(mdof, grid, scheme)
-    w, b = layout.width, len(band) // 2  # b = 3 w - 1
+    b = len(band) // 2  # 3 w - 1
     # node 0, K's first w rows and columns, couples only with the values of
     # the next two nodes, K[w + k, j] for k < 2 w: fold them into r and clear
     # their mirror K[j, w + k] from the free block
@@ -169,6 +187,15 @@ def assemble(model, grid: Grid, u0, v0, scheme: str = "reduced") -> QuadraticFor
         band=free[b - half : b + half + 1], r=r, node0=node0, layout=layout, grid=grid,
         model=model,
     )
+
+
+def _band_bytes(n_nodes: int, w: int) -> int:
+    """Bytes of the three band arrays a solve holds at once with b = 3 w - 1,
+    the half-bandwidth `build_mca_system` fills over N = n_nodes * w values:
+    its (2b + 1, N) band, the free block's contiguous copy (at most as large)
+    and LAPACK's (3b + 1, N) array (`solve_stationary`)."""
+    b = 3 * w - 1
+    return (7 * b + 3) * n_nodes * w * 8
 
 
 def _inverse_norm_estimate(solve, n: int) -> float:
@@ -196,20 +223,6 @@ def _inverse_norm_estimate(solve, n: int) -> float:
     return max(est, 2.0 * float(np.sum(np.abs(solve(alt, 0)))) / (3 * n))
 
 
-def _flapack():
-    """The compiled LAPACK wrappers of `scipy.linalg.lapack`, without the scipy.linalg package."""
-    name = "scipy.linalg._flapack"
-    if name not in sys.modules:
-        from importlib import machinery, util
-        where = os.path.join(util.find_spec("scipy").submodule_search_locations[0], "linalg")
-        spec = machinery.PathFinder.find_spec(name, [where])
-        if spec is None:
-            raise ImportError(f"no {name} extension in {where}", name=name)
-        spec.loader.exec_module(module := util.module_from_spec(spec))
-        sys.modules[name] = module  # a later scipy.linalg import reuses it
-    return sys.modules[name]
-
-
 def solve_stationary(qf: QuadraticForm) -> SolveReport:
     """Solve K d = -r by banded LU in fold order and reassemble the trajectory.
 
@@ -221,7 +234,7 @@ def solve_stationary(qf: QuadraticForm) -> SolveReport:
     meets an exactly zero pivot or the condition estimate exceeds
     CONDITION_LIMIT, the half-precision budget of the double-precision solve.
     """
-    lapack = _flapack()
+    lapack = linalg_extension("_flapack")
     name = "MCA_SDOF" if isinstance(qf.model, SdofModel) else "MCA_MDOF"
     width, n_free = qf.band.shape
     band = width // 2

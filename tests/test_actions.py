@@ -367,8 +367,9 @@ def test_stencils_act_columnwise_on_histories(n):
 
 # every action kind and scheme, the direction battery, the identity sweep and
 # the verify subcommands, then the solving subcommands, in a fresh process;
-# prints the scipy modules loaded after `import convact`, after the verify
-# runs and, of scipy.linalg and the heavy ones, after the solves
+# prints the scipy modules loaded after `import convact` and after the verify
+# runs, then, after the solves, which of scipy.linalg and the heavy packages
+# are loaded and every scipy module
 SCIPY_SURFACE_RUN = """
 import sys, tempfile
 import numpy as np
@@ -411,19 +412,21 @@ with tempfile.TemporaryDirectory() as out:
                  ["mdof", "--n", "32"], ["convergence", "--n", "16,32,64"]):
         assert cli.main([*argv, "--output-dir", out]) == 0, argv
 print(loaded())
+print(scipy_loaded())
 """
 
 
 def test_runs_load_no_scipy_interpolate_sparse_or_special():
     # verify runs need numpy alone; the banded LU loads scipy's LAPACK
-    # extension and the oracle's expm imports scipy.linalg where they run,
-    # and scipy.interpolate, .sparse and .special (which drag in .optimize,
-    # .spatial and .fft) are never loaded
+    # extension and the oracle's expm scipy's Pade kernels where they run,
+    # neither through the scipy.linalg package, and scipy.interpolate,
+    # .sparse and .special (which drag in .optimize, .spatial and .fft) are
+    # never loaded
     out = subprocess.run([sys.executable, "-c", SCIPY_SURFACE_RUN], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    # the CLI's summaries come between the three module lists
+    # the CLI's summaries come between the four module lists
     assert [line for line in out.stdout.splitlines() if line.startswith("[")] == [
-        "[]", "[]", "['scipy.linalg']"
+        "[]", "[]", "[]", "['scipy.linalg._flapack', 'scipy.linalg._matfuncs_expm']"
     ]
 
 

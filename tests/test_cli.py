@@ -79,6 +79,31 @@ def test_verify_identities_passes_an_identity_exact_at_alpha_one(tmp_path, capsy
     assert capsys.readouterr().out == "verify-identities: 36 cells, all order gates passed\n"
 
 
+def test_verify_identities_gates_the_step_from_an_exact_coarse_cell(
+    tmp_path, capsys, monkeypatch
+):
+    # a defect that is exact at n = 64 and shows at n = 128 leaves the n = 128
+    # row without an order estimate; that step is gated on its residual
+    import convact.identities as identities
+
+    real = identities._sides
+
+    def defective(kind, phi, psi, a, memo):
+        lhs, rhs = real(kind, phi, psi, a, memo)
+        if kind is identities.IdentityKind.INNER_INTEGRAL:
+            return (rhs, rhs) if phi.grid.n_steps == 64 else (rhs + 1e-6, rhs)
+        return lhs, rhs
+
+    monkeypatch.setattr(identities, "_sides", defective)
+    argv = ("--alpha", "0.5", "--kind", "INNER_INTEGRAL,CONV_LEFT", "--n", "64,128")
+    assert run(tmp_path, "verify-identities", *argv) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("verify-identities: 4 cells, 1 gates FAILED\n")
+    assert "  INNER_INTEGRAL alpha=0.5 n=128: order none, residual " in out
+    rows = (tmp_path / "identities.csv").read_text().splitlines()
+    assert rows[1].split(",")[5:] == ["0", ""] and rows[2].split(",")[6] == ""
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

@@ -246,6 +246,9 @@ def test_order_gate_passes_a_roundoff_residual_and_keeps_the_threshold():
     assert order_gate(kind, 0.0, 0.0) and order_gate(kind, -5.0, EXACT_RESIDUAL)
     assert not order_gate(kind, 0.0, 2.0 * EXACT_RESIDUAL)
     assert order_gate(kind, 0.96, 1.0) and not order_gate(kind, 0.94, 1.0)
+    # no estimate (an exact coarser cell): the residual alone decides
+    assert order_gate(kind, None, EXACT_RESIDUAL)
+    assert not order_gate(kind, None, 2.0 * EXACT_RESIDUAL)
 
 
 EXACT_AT_ONE = (
@@ -257,11 +260,13 @@ EXACT_AT_ONE = (
 
 
 def _gate_failures(rows) -> set:
-    """(kind, alpha) of every cell whose refinement step fails the gate."""
+    """(kind, alpha) of every cell whose refinement step fails the gate:
+    every row but the coarsest grid's is a step."""
+    coarsest = min(row.n_steps for row in rows)
     return {
         (row.report.kind, row.report.alpha)
         for row in rows
-        if row.order_estimate is not None
+        if row.n_steps != coarsest
         and not order_gate(row.report.kind, row.order_estimate, row.report.residual)
     }
 

@@ -6,6 +6,7 @@ import pytest
 from convact._stencils import deriv1, deriv2
 from convact.grid import Grid, Signal
 from convact.models import (
+    _expm,
     HarmonicForcing,
     MdofModel,
     SdofModel,
@@ -13,6 +14,7 @@ from convact.models import (
     analytic_sdof,
     build_bar_1d,
     build_shear_building,
+    linalg_extension,
     mdof_from_json,
     mdof_mixed_initials,
     mdof_oracle,
@@ -273,6 +275,27 @@ def test_mdof_oracle_matches_high_order_integrator(model, u0, v0, t_final):
     assert sol.success
     for got, ref in ((traj.u, sol.y[:d].T), (vel, sol.y[d : 2 * d].T), (traj.J, sol.y[2 * d :].T)):
         assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_expm_is_scipy_expm_bitwise_on_generic_matrices():
+    # n = 2 ... 40 at 1-norms that reach every Pade degree, with and without
+    # squaring; each matrix is dense, so scipy takes its generic branch too
+    from scipy.linalg import expm
+
+    kernels = linalg_extension("_matfuncs_expm")
+    rng = np.random.default_rng(7)
+    structures = set()
+    for n in range(2, 41):
+        for norm in (1e-3, 0.05, 0.3, 1.5, 3.0, 40.0):
+            a = rng.standard_normal((n, n))
+            a *= norm / np.abs(a).sum(axis=0).max()
+            work = np.empty((5, n, n))
+            work[0] = a
+            m, s = kernels.pick_pade_structure(work)
+            structures.add((m, s > 0))
+            assert _expm(a).tobytes() == expm(a).tobytes(), (n, norm)
+    assert {m for m, _ in structures} == {3, 5, 7, 9, 13}
+    assert {squared for _, squared in structures} == {False, True}
 
 
 def test_shear_building_single_story_reduces_to_sdof():

@@ -37,6 +37,7 @@ from convact.models import (
     SdofModel,
     Trajectory,
     analytic_sdof,
+    build_bar_1d,
     build_shear_building,
     mdof_oracle,
     sdof_as_mdof,
@@ -528,7 +529,8 @@ if sys.argv[2] == "first":
 from convact import cli
 
 def state():
-    return [m in sys.modules for m in ("scipy.linalg", "scipy.linalg._flapack")]
+    names = ("scipy.linalg", "scipy.linalg._flapack", "scipy.linalg._matfuncs_expm")
+    return [m in sys.modules for m in names]
 
 out = sys.argv[1]
 sdof = ["sdof", "--n", "64", "--forcing-amplitude", "1", "--forcing-omega", "2"]
@@ -536,16 +538,19 @@ assert cli.main([*sdof, "--output-dir", out]) == 0
 print("after sdof", state())
 assert cli.main(["convergence", "--kind", "sdof", "--n", "16,32,64", "--output-dir", out]) == 0
 print("after convergence", state())
-from scipy.linalg import lapack
-print("same dgbtrf", lapack.dgbtrf is sys.modules["scipy.linalg._flapack"].dgbtrf)
 assert cli.main(["mdof", "--n", "64", "--output-dir", out]) == 0
+print("after mdof", state())
+from scipy.linalg import _matfuncs, lapack
+print("same dgbtrf", lapack.dgbtrf is sys.modules["scipy.linalg._flapack"].dgbtrf)
+expm_kernels = sys.modules["scipy.linalg._matfuncs_expm"]
+print("same pade", _matfuncs.pade_UV_calc is expm_kernels.pade_UV_calc)
 """
 
 
 def test_solves_load_the_lapack_extension_without_scipy_linalg(tmp_path):
-    # the banded LU binds scipy's compiled LAPACK wrappers alone; a later
-    # scipy.linalg import reuses them, and importing scipy.linalg first
-    # changes no output byte
+    # the banded LU binds scipy's compiled LAPACK wrappers alone and the
+    # oracle scipy's compiled Pade kernels; a later scipy.linalg import
+    # reuses both, and importing scipy.linalg first changes no output byte
     outputs = {}
     for order in ("solve-first", "first"):
         out = tmp_path / order
@@ -556,9 +561,11 @@ def test_solves_load_the_lapack_extension_without_scipy_linalg(tmp_path):
         lines = [line for line in run.stdout.splitlines() if line.startswith(("after", "same"))]
         linalg_first = order == "first"
         assert lines == [
-            f"after sdof [{linalg_first}, True]",
-            f"after convergence [{linalg_first}, True]",
+            f"after sdof [{linalg_first}, True, {linalg_first}]",
+            f"after convergence [{linalg_first}, True, {linalg_first}]",
+            f"after mdof [{linalg_first}, True, True]",
             "same dgbtrf True",
+            "same pade True",
         ]
         outputs[order] = {p.name: p.read_bytes() for p in sorted(out.glob("*_*.csv"))}
     assert sorted(outputs["first"]) == [
@@ -568,17 +575,88 @@ def test_solves_load_the_lapack_extension_without_scipy_linalg(tmp_path):
 
 
 def test_missing_lapack_extension_raises_import_error(monkeypatch, tmp_path):
-    # a scipy whose linalg directory holds no _flapack: the first solve
-    # raises ImportError naming the module and the directory searched
+    # a scipy whose linalg directory holds no _flapack and no _matfuncs_expm:
+    # the first solve and the first exact oracle raise ImportError naming the
+    # module and the directory searched
     (tmp_path / "linalg").mkdir()
     scipy_spec = types.SimpleNamespace(submodule_search_locations=[str(tmp_path)])
     monkeypatch.setattr("importlib.util.find_spec", lambda name: scipy_spec)
-    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    extensions = ("scipy.linalg._flapack", "scipy.linalg._matfuncs_expm")
+    for name in extensions:
+        monkeypatch.delitem(sys.modules, name, raising=False)
     qf = assemble(FORCED, Grid(2.0, 8), 1.0, 0.0)
     with pytest.raises(ImportError, match="scipy.linalg._flapack") as err:
         solve_stationary(qf)
     assert str(tmp_path / "linalg") in str(err.value)
-    assert "scipy.linalg._flapack" not in sys.modules
+    with pytest.raises(ImportError, match="scipy.linalg._matfuncs_expm") as err:
+        mdof_oracle(SHEAR3, np.ones(3), np.zeros(3), Grid(2.0, 8))
+    assert str(tmp_path / "linalg") in str(err.value)
+    assert not any(name in sys.modules for name in extensions)
+
+
+def test_oracle_exponents_are_two_sided_and_match_scipy_expm_bitwise(monkeypatch):
+    # `models._expm` is scipy's generic branch alone, so every matrix the
+    # oracle exponentiates must have entries above and below its diagonal,
+    # where scipy.linalg.expm takes that branch too
+    from scipy.linalg import expm
+
+    import convact.models as models
+
+    exponents, real = [], models._expm
+
+    def recording(a):
+        exponents.append(a.copy())
+        return real(a)
+
+    monkeypatch.setattr(models, "_expm", recording)
+    sdofs = (DAMPED, FORCED, SdofModel(1.0, 0.0, 1.0), SdofModel(1.0, 5.0, 1.0),
+             SdofModel(2.0, 0.3, 3.0, forcing=HarmonicForcing(0.7, 0.0, 0.5)))
+    rng = np.random.default_rng(5)
+    mdofs = [sdof_as_mdof(model) for model in sdofs] + [
+        SHEAR3,
+        build_shear_building(3, 1.0, 10.0, 0.4),
+        build_bar_1d(1.0, 2.0, 1.0, 6),
+    ] + [_random_coupled_model(rng) for _ in range(6)]
+    for model in mdofs:
+        for grid in (Grid(6.0, 64), Grid(20.0, 4), Grid(0.01, 1024)):
+            mdof_oracle(model, np.ones(model.n_dof), np.zeros(model.n_dof), grid)
+    assert len(exponents) == 3 * len(mdofs)
+    for a in exponents:
+        assert np.triu(a, 1).any() and np.tril(a, -1).any()
+        assert real(a).tobytes() == expm(a).tobytes()
+
+
+def test_a_grid_over_the_memory_budget_is_refused_before_assembly(
+    monkeypatch, tmp_path, capsys
+):
+    # the budget is lowered so that shear-3 (6 values per node) fits at
+    # n = 512 and not at 513; the refusal comes before the band is filled
+    import convact.stationarity as stationarity
+    from convact import cli
+
+    u0, v0, w = np.ones(3), np.zeros(3), 6
+    g = Grid(6.0, 512)
+    qf = assemble(SHEAR3, g, u0, v0)
+    lapack_bytes = (3 * (len(qf.band) // 2) + 1) * qf.n_free * 8
+    held = build_mca_system(SHEAR3, g)[0].nbytes + qf.band.nbytes + lapack_bytes
+    assert held <= stationarity._band_bytes(g.n_nodes, w)
+    monkeypatch.setattr(stationarity, "MEMORY_BUDGET", stationarity._band_bytes(g.n_nodes, w))
+    assemble(SHEAR3, g, u0, v0)
+
+    def unreachable(*args):
+        raise AssertionError("the band was filled")
+
+    monkeypatch.setattr(stationarity, "build_mca_system", unreachable)
+    with pytest.raises(SingularSystemError, match="largest admissible n_steps is 512"):
+        assemble(SHEAR3, Grid(6.0, 513), u0, v0)
+    argv = ["mdof", "--preset", "shear-3", "--t", "6", "--n", "513", "--output-dir", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    need = stationarity._band_bytes(514, w) / 2**20
+    budget = stationarity.MEMORY_BUDGET / 2**20
+    assert f"needs {need:.0f} MiB, over the budget of {budget:.0f} MiB" in err
+    assert "largest admissible n_steps is 512" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fold_order_pairs_each_node_with_its_reflection():
