@@ -51,6 +51,28 @@ __all__ = [
 ]
 
 
+def _finite(name: str, value) -> np.ndarray:
+    """`value` as a float array: the one check of every number a model or its
+    initial data holds. A non-numeric, ragged or non-finite value raises
+    ValueError naming `name`."""
+    try:
+        arr = np.asarray(value)
+        ok = arr.dtype.kind in "iuf" and bool(np.all(np.isfinite(arr)))
+    except (TypeError, ValueError):  # a ragged nesting
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be finite and numeric, got {value!r}")
+    return arr.astype(float, copy=False)
+
+
+def _scalar(name: str, value) -> float:
+    """`_finite` for a field that holds one number."""
+    arr = _finite(name, value)
+    if arr.ndim:
+        raise ValueError(f"{name} must be a scalar, got {value!r}")
+    return float(arr)
+
+
 @dataclass(frozen=True)
 class HarmonicForcing:
     """Forcing amplitude * sin(omega * tau + phase); amplitude is a scalar for
@@ -62,16 +84,10 @@ class HarmonicForcing:
     phase: float = 0.0
 
     def __post_init__(self):
-        for name in ("amplitude", "omega", "phase"):
-            value = getattr(self, name)
-            try:
-                arr = np.asarray(value, dtype=float)
-                ok = bool(np.all(np.isfinite(arr))) and (arr.ndim == 0 or name == "amplitude")
-            except (TypeError, ValueError):
-                ok = False
-            if not ok:
-                raise ValueError(f"{name} must be finite and numeric, got {value!r}")
-            object.__setattr__(self, name, arr if arr.ndim else float(arr))
+        amplitude = _finite("amplitude", self.amplitude)
+        object.__setattr__(self, "amplitude", amplitude if amplitude.ndim else float(amplitude))
+        object.__setattr__(self, "omega", _scalar("omega", self.omega))
+        object.__setattr__(self, "phase", _scalar("phase", self.phase))
 
     def __call__(self, tau):
         return np.asarray(self.amplitude) * np.sin(self.omega * np.asarray(tau) + self.phase)
@@ -92,7 +108,8 @@ def _forcing_samples(forcing, taus: np.ndarray, width: int | None = None) -> np.
 @dataclass(frozen=True)
 class SdofModel:
     """Damped oscillator m u'' + c u' + k u = f; works with the spring
-    flexibility a = 1/k in the compatibility relation."""
+    flexibility a = 1/k in the compatibility relation. m, c, k and j_hat_0
+    must be finite numbers; they are stored as floats."""
 
     m: float
     c: float
@@ -102,8 +119,7 @@ class SdofModel:
 
     def __post_init__(self):
         for name in ("m", "c", "k", "j_hat_0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            object.__setattr__(self, name, _scalar(name, getattr(self, name)))
         if not (self.m > 0.0):
             raise ValueError(f"mass must be > 0, got {self.m}")
         if not (self.k > 0.0):
@@ -129,7 +145,7 @@ class SdofModel:
         stays valid."""
         amp = None
         if self.forcing is not None:
-            amplitude = np.array([float(self.forcing.amplitude)])
+            amplitude = np.array([self.forcing.amplitude])
             amplitude.setflags(write=False)  # the view is shared by every caller
             amp = HarmonicForcing(amplitude, self.forcing.omega, self.forcing.phase)
         return MdofModel(
@@ -169,10 +185,12 @@ class MdofModel:
     A: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        M = np.asarray(self.M, dtype=float)
-        C = np.asarray(self.C, dtype=float)
-        B = np.asarray(self.B, dtype=float)
-        blocks = tuple(np.atleast_2d(np.asarray(b, dtype=float)) for b in self.A_blocks)
+        M, C, B = (_finite(name, getattr(self, name)) for name in ("M", "C", "B"))
+        if not isinstance(self.A_blocks, (list, tuple)) or not self.A_blocks:
+            raise ValueError(f"A_blocks: expected a non-empty list, got {self.A_blocks!r}")
+        blocks = tuple(
+            np.atleast_2d(_finite(f"A_blocks[{i}]", b)) for i, b in enumerate(self.A_blocks)
+        )
         _check_symmetric("M", M)
         _check_symmetric("C", C)
         if _min_eig(M) <= 0.0:
@@ -189,11 +207,9 @@ class MdofModel:
             raise ValueError(f"C: shape {C.shape} does not match M {M.shape}")
         if B.ndim != 2 or B.shape != (n_dof, n_el):
             raise ValueError(f"B: shape {B.shape}, expected ({n_dof}, {n_el})")
-        j0 = np.zeros(n_dof) if self.j_hat_0 is None else np.asarray(self.j_hat_0, dtype=float)
+        j0 = np.zeros(n_dof) if self.j_hat_0 is None else _finite("j_hat_0", self.j_hat_0)
         if j0.shape != (n_dof,):
             raise ValueError(f"j_hat_0: shape {j0.shape}, expected ({n_dof},)")
-        if not np.all(np.isfinite(j0)):
-            raise ValueError(f"j_hat_0 must be finite, got {j0.tolist()}")
         if self.forcing is not None:
             if not isinstance(self.forcing, HarmonicForcing):
                 kind = type(self.forcing).__name__
@@ -278,11 +294,7 @@ class Trajectory:
 
 def mdof_mixed_initials(model: MdofModel, u0, v0) -> tuple[np.ndarray, np.ndarray]:
     """Vector counterpart: B J(0) = j_hat_0 - M v0 - C u0 (B square here)."""
-    u0 = np.asarray(u0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    for name, vec in (("u0", u0), ("v0", v0)):
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"{name} must be finite, got {vec.tolist()}")
+    u0, v0 = _finite("u0", u0), _finite("v0", v0)
     rhs = model.j_hat_0 - model.M @ v0 - model.C @ u0
     if model.B.shape[0] != model.B.shape[1]:
         raise ValueError("mixed initials need a square equilibrium matrix B")
@@ -307,7 +319,7 @@ def analytic_sdof(model: SdofModel, u0: float, v0: float, grid: Grid) -> Traject
         up0 = vp0 = 0.0
         u_part = du_part = applied = np.zeros_like(taus)
     else:
-        f0 = float(model.forcing.amplitude)
+        f0 = model.forcing.amplitude
         om = model.forcing.omega
         ph = model.forcing.phase
         den = (k - m * om * om) ** 2 + (c * om) ** 2
@@ -500,7 +512,7 @@ def mdof_view(model, ics=None, *trajs) -> tuple:
     if not isinstance(model, SdofModel):
         raise ValueError(f"expected an SdofModel or an MdofModel, got {type(model).__name__}")
     if ics is not None:
-        ics = tuple(np.array([float(x)]) for x in ics)
+        ics = tuple(np.array([_scalar(name, x)]) for name, x in zip(("u0", "v0"), ics))
     columns = (Trajectory(t.grid, t.u.reshape(-1, 1), t.J.reshape(-1, 1)) for t in trajs)
     return (sdof_as_mdof(model), ics, *columns)
 
@@ -519,7 +531,7 @@ def oracle_trajectory(model, u0, v0, grid: Grid) -> Trajectory:
     one-dof `mdof_oracle`; an MdofModel's `mdof_oracle`."""
     if isinstance(model, SdofModel):
         try:
-            return analytic_sdof(model, float(u0), float(v0), grid)
+            return analytic_sdof(model, _scalar("u0", u0), _scalar("v0", v0), grid)
         except ValueError:
             pass
     mdof, (u0, v0) = mdof_view(model, (u0, v0))
@@ -589,7 +601,8 @@ def _forcing_from_doc(doc) -> HarmonicForcing | None:
 
 
 def mdof_from_json(text: str) -> MdofModel:
-    """Parse and validate a model document; failures name the offending field."""
+    """Parse a model document and check its keys and its forcing; `MdofModel`
+    checks its numbers. Failures name the offending field."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -603,36 +616,13 @@ def mdof_from_json(text: str) -> MdofModel:
     unknown = set(doc) - required - {"forcing", "j_hat_0"}
     if unknown:
         raise ValueError(f"model document has unknown keys: {sorted(unknown)}")
-
-    def matrix(name: str) -> np.ndarray:
-        try:
-            arr = np.asarray(doc[name], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{name}: not a numeric matrix") from exc
-        if arr.ndim != 2:
-            raise ValueError(f"{name}: expected a 2-d row-major matrix")
-        return arr
-
-    if not isinstance(doc["A_blocks"], list) or not doc["A_blocks"]:
-        raise ValueError("A_blocks: expected a non-empty list of blocks")
-    blocks = []
-    for i, blk in enumerate(doc["A_blocks"]):
-        try:
-            arr = np.atleast_2d(np.asarray(blk, dtype=float))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"A_blocks[{i}]: not a numeric block") from exc
-        blocks.append(arr)
-    j0 = None
-    if "j_hat_0" in doc:
-        try:
-            j0 = np.asarray(doc["j_hat_0"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValueError("j_hat_0: not a numeric vector") from exc
+    if doc.get("j_hat_0", ()) is None:  # MdofModel would read None as zeros
+        raise ValueError("j_hat_0: null is not a vector; leave the key out for zeros")
     return MdofModel(
-        M=matrix("M"),
-        C=matrix("C"),
-        A_blocks=tuple(blocks),
-        B=matrix("B"),
+        M=doc["M"],
+        C=doc["C"],
+        A_blocks=doc["A_blocks"],
+        B=doc["B"],
         forcing=_forcing_from_doc(doc.get("forcing", {"kind": "zero"})),
-        j_hat_0=j0,
+        j_hat_0=doc.get("j_hat_0"),
     )

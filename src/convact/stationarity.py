@@ -231,21 +231,21 @@ def solve_stationary(qf: QuadraticForm) -> SolveReport:
     factor and solve in O(N) time and memory.
     The 1-norm condition number is ||K||_1 times Hager's estimate of
     ||K^-1||_1, also O(N). Raises SingularSystemError when the factorization
-    meets an exactly zero pivot or the condition estimate exceeds
-    CONDITION_LIMIT, the half-precision budget of the double-precision solve.
+    meets an exactly zero pivot, the condition estimate is NaN or exceeds
+    CONDITION_LIMIT, the half-precision budget of the double-precision solve,
+    or the solution is not finite.
     """
     lapack = linalg_extension("_flapack")
     name = "MCA_SDOF" if isinstance(qf.model, SdofModel) else "MCA_MDOF"
     width, n_free = qf.band.shape
     band = width // 2
+    at = f"(n_steps={qf.grid.n_steps}, h={qf.grid.h:g})"
+    anorm = float(np.max(np.abs(qf.band).sum(axis=0)))  # before ab: |K| is band-sized
     ab = np.zeros((3 * band + 1, n_free), order="F")  # band rows of fill room on top
     ab[band:] = qf.band
     lu, ipiv, info = lapack.dgbtrf(ab, band, band, overwrite_ab=1)
     if info > 0:
-        raise SingularSystemError(
-            f"exactly singular pivot in {name} system "
-            f"(n_steps={qf.grid.n_steps}, h={qf.grid.h:g})"
-        )
+        raise SingularSystemError(f"exactly singular pivot in {name} system {at}")
     if info < 0:
         raise RuntimeError(f"dgbtrf failed with argument error {info}")
 
@@ -255,17 +255,19 @@ def solve_stationary(qf: QuadraticForm) -> SolveReport:
             raise RuntimeError(f"dgbtrs failed with argument error {info}")
         return x
 
-    anorm = float(np.max(np.abs(qf.band).sum(axis=0)))
     condition = anorm * _inverse_norm_estimate(solve, n_free)
+    if math.isnan(condition):  # a NaN in K, which `condition > CONDITION_LIMIT` lets by
+        raise SingularSystemError(f"{name} system has a NaN condition estimate {at}")
     if condition > CONDITION_LIMIT:
         n_max = int(qf.grid.n_steps * math.sqrt(CONDITION_LIMIT / condition))
         raise SingularSystemError(
             f"{name} system numerically singular: condition estimate "
-            f"{condition:.3e} exceeds {CONDITION_LIMIT:.3e} "
-            f"(n_steps={qf.grid.n_steps}, h={qf.grid.h:g}); the estimated largest "
+            f"{condition:.3e} exceeds {CONDITION_LIMIT:.3e} {at}; the estimated largest "
             f"admissible n_steps at this t is {n_max}"
         )
     d = solve(-qf.r, 0)
+    if not np.all(np.isfinite(d)):
+        raise SingularSystemError(f"{name} system has a non-finite solution {at}")
     grad = band_matvec(qf.band, d) + qf.r
     scale = max(_max_abs(qf.band) * max(float(np.max(np.abs(d))), 1.0),
                 float(np.max(np.abs(qf.r))), 1.0)

@@ -216,17 +216,35 @@ def test_non_finite_residual_norms_exit_2(tmp_path, capsys, command):
 
 
 def test_non_finite_solution_is_blamed_on_the_solve(tmp_path, capsys, monkeypatch):
-    solve = cli.solve_stationary
+    assemble = cli.assemble
 
-    def solve_to_nan(qf):
-        report = solve(qf)
-        return replace(report, trajectory=_nan_trajectory(report.trajectory))
+    def assemble_inf(*args):  # a finite K with an inf in r: the solve's d is not finite
+        qf = assemble(*args)
+        return replace(qf, r=np.where(np.arange(qf.n_free) == 3, math.inf, qf.r))
 
-    monkeypatch.setattr(cli, "solve_stationary", solve_to_nan)
+    monkeypatch.setattr(cli, "assemble", assemble_inf)
     assert run(tmp_path, "sdof", "--n", "32") == 2
     err = capsys.readouterr().err
-    blamed = "numerical failure in stationarity.solve_stationary: non-finite trajectory"
-    assert f"{blamed} (n=32," in err
+    blamed = "numerical failure in stationarity.solve_stationary: MCA_SDOF system"
+    assert f"{blamed} has a non-finite solution (n_steps=32," in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "field, value, shown",
+    [("A_blocks", [[0.2], [math.nan]], "A_blocks[1] must be finite and numeric, got [nan]"),
+     ("B", [[1, -1], [0, math.inf]], "B must be finite and numeric, got [[1, -1], [0, inf]]"),
+     ("j_hat_0", [-math.inf, 0.0], "j_hat_0 must be finite and numeric, got [-inf, 0.0]")],
+)
+def test_a_non_finite_model_document_exits_1_before_any_solve(
+    tmp_path, capsys, field, value, shown
+):
+    doc = json.loads(mdof_to_json(build_shear_building(2, 1.0, 5.0, 0.1)))
+    doc[field] = value
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    assert run(tmp_path, "mdof", "--model", str(tmp_path / "model.json"), "--n", "32") == 1
+    assert capsys.readouterr().err == f"error: invalid model document: {shown}\n"
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_identities_reproducible_byte_identical(tmp_path):

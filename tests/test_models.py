@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from convact.models import (
     mdof_mixed_initials,
     mdof_oracle,
     mdof_to_json,
+    mdof_view,
     sdof_as_mdof,
 )
 
@@ -43,6 +46,13 @@ def test_sdof_model_validation():
                          ("k", math.inf), ("j_hat_0", math.nan)]:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             SdofModel(**{"m": 1.0, "c": 0.1, "k": 1.0, field: value})
+    for field, value in [("m", "1"), ("k", [1.0]), ("c", None)]:
+        with pytest.raises(ValueError, match=f"^{field} must be (finite and numeric|a scalar)"):
+            SdofModel(**{"m": 1.0, "c": 0.1, "k": 1.0, field: value})
+    assert SdofModel(1, 0, 2).m == 1.0 and type(SdofModel(1, 0, 2).k) is float
+    for ics, field in [(([1.0, 2.0], 0.0), "u0"), ((0.0, "x"), "v0"), ((math.inf, 0.0), "u0")]:
+        with pytest.raises(ValueError, match=f"^{field} must be (finite and numeric|a scalar)"):
+            mdof_view(DAMPED, ics)
     for args, field in [((math.nan, 1.0), "amplitude"), ((1.0, math.inf), "omega"),
                         ((1.0, 1.0, math.nan), "phase"), (("big", 1.0), "amplitude")]:
         with pytest.raises(ValueError, match=f"^{field} must be finite and numeric"):
@@ -430,6 +440,14 @@ def test_mdof_json_roundtrip():
     assert loaded.forcing.omega == 2.0
     np.testing.assert_array_equal(loaded.forcing.amplitude, [1.0, 0.0, 0.0])
     assert mdof_to_json(loaded) == text
+    rng = np.random.default_rng(3)
+    coupled = MdofModel(M=_random_spd(rng, 3), C=np.zeros((3, 3)),
+                        A_blocks=(_random_spd(rng, 2), np.array([[0.25]])),
+                        B=rng.standard_normal((3, 3)), j_hat_0=rng.standard_normal(3))
+    loaded = mdof_from_json(mdof_to_json(coupled))
+    for name in ("M", "C", "B", "A", "j_hat_0"):
+        assert getattr(loaded, name).tobytes() == getattr(coupled, name).tobytes()
+    assert mdof_to_json(loaded) == mdof_to_json(coupled)
 
 
 def test_mdof_json_rejects_bad_documents():
@@ -470,6 +488,59 @@ def test_mdof_json_rejects_bad_documents():
     doc["extra"] = 1
     with pytest.raises(ValueError, match="unknown keys"):
         mdof_from_json(_json.dumps(doc))
+
+
+def _shear2_fields() -> dict:
+    """The numeric fields of a 2-story model as a model document holds them."""
+    doc = json.loads(mdof_to_json(build_shear_building(2, 1.0, 5.0, 0.1, j_hat_0=[0.2, 0.0])))
+    del doc["forcing"]
+    return doc
+
+
+def _put(fields: dict, field: str, value) -> dict:
+    """`fields` with `value` in the first entry of `field` ("A_blocks[1]" too)."""
+    name, _, index = field.partition("[")
+    target = fields[name][int(index[:-1])] if index else fields[name]
+    while isinstance(target[0], list):
+        target = target[0]
+    target[0] = value
+    return fields
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["M", "C", "B", "A_blocks[1]", "j_hat_0"])
+def test_a_non_finite_model_number_is_refused_by_name(field, value):
+    fields = _put(_shear2_fields(), field, value)
+    message = f"^{re.escape(field)} must be finite and numeric, got "
+    with pytest.raises(ValueError, match=message):
+        MdofModel(**fields)
+    with pytest.raises(ValueError, match=message):
+        mdof_from_json(json.dumps(fields))
+
+
+def test_ragged_text_null_and_empty_model_fields_are_refused_by_name():
+    for field, value in [("M", [[1.0, 0.0], [0.0]]), ("C", [["x", 0.0], [0.0, 0.1]]),
+                         ("B", "eye"), ("A_blocks[0]", [[None]]), ("j_hat_0", [0.0, "0"])]:
+        fields = _shear2_fields()
+        if field == "A_blocks[0]":
+            fields["A_blocks"][0] = value
+        else:
+            fields[field] = value
+        message = f"^{re.escape(field)} must be finite and numeric, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            MdofModel(**fields)
+        with pytest.raises(ValueError, match=message):
+            mdof_from_json(json.dumps(fields))
+    for blocks in ([], {}, 0.2, np.eye(2)):
+        with pytest.raises(ValueError, match="^A_blocks: expected a non-empty list, got "):
+            MdofModel(**{**_shear2_fields(), "A_blocks": blocks})
+    with pytest.raises(ValueError, match="^j_hat_0: null is not a vector"):
+        mdof_from_json(json.dumps({**_shear2_fields(), "j_hat_0": None}))
+    assert not mdof_from_json(json.dumps({**_shear2_fields(), "j_hat_0": [0, 0]})).j_hat_0.any()
+    for name in ("u0", "v0"):
+        ics = {"u0": np.zeros(2), "v0": np.zeros(2), name: ["0", 1.0]}
+        with pytest.raises(ValueError, match=f"^{name} must be finite and numeric"):
+            mdof_mixed_initials(MdofModel(**_shear2_fields()), ics["u0"], ics["v0"])
 
 
 def test_trajectory_csv_and_signals():

@@ -37,6 +37,16 @@ def test_the_csv_cell_format_is_stated_in_grid_alone():
     assert stating == ["grid.py"], stating
 
 
+def test_a_model_number_is_checked_in_models_finite_alone():
+    source = (Path(convact.__file__).parent / "models.py").read_text()
+    finite = next(
+        node for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_finite"
+    )
+    inside = ast.get_source_segment(source, finite).count("isfinite")
+    assert inside and source.count("isfinite") == inside
+
+
 def test_all_lists_only_defined_names_and_covers_the_package_exports():
     exported = {}
     for path in SOURCES:

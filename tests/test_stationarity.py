@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -827,3 +828,40 @@ def test_assemble_and_solve_memory_is_linear(kind, model, n, u0, scheme):
     finally:
         tracemalloc.stop()
     assert peak < 4096 * qf.n_free
+
+
+@pytest.mark.parametrize(
+    "model, n, u0",
+    [
+        (FORCED, 8192, np.array(1.0)),
+        (SHEAR3, 2048, np.array([0.5, 0.2, -0.1])),
+        (build_shear_building(10, 1.0, 10.0, 0.4), 256, np.eye(1, 10).ravel()),
+    ],
+    ids=["sdof", "shear-3", "shear-10"],
+)
+def test_the_solve_holds_lapacks_array_and_no_band_sized_temporary(model, n, u0):
+    # beside LAPACK's (3b + 1, N) array the solve holds only a few vectors of
+    # N values (right-hand sides, d, the gradient, the trajectory); |K|, a
+    # (2b + 1, N) temporary for ||K||_1, is gone before that array is made
+    solve_stationary(assemble(model, Grid(1.0, 4), u0, 0.0 * u0))  # loads LAPACK
+    qf = assemble(model, Grid(10.0, n), u0, 0.0 * u0)
+    tracemalloc.start()
+    try:
+        solve_stationary(qf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    b = len(qf.band) // 2
+    assert peak < (3 * b + 1 + 8) * qf.n_free * 8
+
+
+def test_a_form_with_a_non_finite_entry_is_refused():
+    qf = assemble(DAMPED, Grid(10.0, 64), 1.0, 0.0)
+    band = qf.band.copy()
+    band[len(band) // 2, 5] = math.nan  # a NaN estimate passed `condition > limit`
+    with pytest.raises(SingularSystemError, match=r"MCA_SDOF system has a NaN condition"):
+        solve_stationary(replace(qf, band=band))
+    r = qf.r.copy()
+    r[3] = math.inf  # K is finite, so its estimate is too; d is not
+    with pytest.raises(SingularSystemError, match=r"non-finite solution \(n_steps=64, h="):
+        solve_stationary(replace(qf, r=r))
